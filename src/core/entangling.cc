@@ -146,9 +146,10 @@ EntanglingPrefetcher::name() const
         base = "EPI";
     if (cfg.splitBbEntries != 0)
         base += "-split";
-    base += "-" + (cfg.tableEntries >= 1024
-                       ? std::to_string(cfg.tableEntries / 1024) + "K"
-                       : std::to_string(cfg.tableEntries));
+    base += '-';
+    base += cfg.tableEntries >= 1024
+        ? std::to_string(cfg.tableEntries / 1024) + "K"
+        : std::to_string(cfg.tableEntries);
     if (cfg.physical)
         base += "-phys";
     return base;

@@ -5,6 +5,28 @@
 
 namespace eip::sample {
 
+namespace {
+
+/** The scalars of one detailed window — the inputs of the four
+ *  estimated metrics — as the difference of the snapshots around it. */
+sim::SimStats
+windowDelta(const sim::SimStats &before, const sim::SimStats &after)
+{
+    sim::SimStats w;
+    w.instructions = after.instructions - before.instructions;
+    w.cycles = after.cycles - before.cycles;
+    w.l1i.demandMisses = after.l1i.demandMisses - before.l1i.demandMisses;
+    w.l1i.usefulPrefetches =
+        after.l1i.usefulPrefetches - before.l1i.usefulPrefetches;
+    w.l1i.latePrefetches =
+        after.l1i.latePrefetches - before.l1i.latePrefetches;
+    w.l1i.prefetchIssued =
+        after.l1i.prefetchIssued - before.l1i.prefetchIssued;
+    return w;
+}
+
+} // namespace
+
 SampledResult
 runSampled(sim::Cpu &cpu, trace::InstructionSource &trace,
            uint64_t instructions, uint64_t warmup, const SampleSpec &spec,
@@ -39,6 +61,8 @@ runSampled(sim::Cpu &cpu, trace::InstructionSource &trace,
     uint64_t cpi_cycles = 1;
     uint64_t cpi_instructions = 1;
 
+    // Statistics reset once: warming freezes them between windows, so
+    // the cumulative counters are the sum over the detailed windows.
     bool first = true;
     for (const Phase &phase : schedule) {
         if (phase.skip > 0) {
@@ -58,20 +82,22 @@ runSampled(sim::Cpu &cpu, trace::InstructionSource &trace,
             result.summary.warmedInstructions += phase.warm;
         }
         if (first) {
-            cpu.beginSampledMeasurement();
+            cpu.resetMeasurement();
             first = false;
         }
         if (profiler != nullptr)
             profiler->transition("window");
-        sim::Cpu::WindowStats w = cpu.runWindow(trace, phase.window);
+        const sim::SimStats before = cpu.snapshot();
+        cpu.advance(trace, phase.window);
+        const sim::SimStats w = windowDelta(before, cpu.snapshot());
         if (w.cycles > 0 && w.instructions > 0) {
             cpi_cycles = w.cycles;
             cpi_instructions = w.instructions;
         }
         ipc.add(w.ipc());
-        mpki.add(w.mpki());
-        coverage.add(w.coverage());
-        accuracy.add(w.accuracy());
+        mpki.add(w.l1iMpki());
+        coverage.add(w.l1i.coverage());
+        accuracy.add(w.l1i.accuracy());
         ++result.summary.windows;
         result.summary.windowInstructions += w.instructions;
     }
@@ -83,7 +109,7 @@ runSampled(sim::Cpu &cpu, trace::InstructionSource &trace,
     result.summary.l1iMpki = summarize(mpki);
     result.summary.l1iCoverage = summarize(coverage);
     result.summary.l1iAccuracy = summarize(accuracy);
-    result.stats = cpu.sampledStats();
+    result.stats = cpu.snapshot();
     return result;
 }
 

@@ -39,6 +39,7 @@ Cpu::Cpu(const SimConfig &config)
     l1d_->setNextLevel(l2_.get());
     l2_->setNextLevel(llc_.get());
     llc_->setDram(dram_.get());
+    dram_->countAccessesInto(stats_.dramAccesses);
 
     // Warming fidelity (see setWarmMshrThrottle): the data-side levels
     // drop accesses under MSHR pressure in the timed paths, so their
@@ -73,12 +74,13 @@ Cpu::registerInvariants()
     // promoted from the former EIP_DASSERT in fetchStage() so Release
     // builds audit it too when checking is on.
     checks_->add("cpu.fetch_stall_partition", [this](std::string &detail) {
-        uint64_t sum = fetchStallLineMiss + fetchStallFtqEmptyMispredict +
-                       fetchStallFtqEmptyStarved + fetchStallRobFull;
-        if (sum == fetchIdleCycles)
+        const SimStats &s = stats_;
+        uint64_t sum = s.fetchStallLineMiss + s.fetchStallFtqEmpty() +
+                       s.fetchStallRobFull;
+        if (sum == s.fetchIdleCycles)
             return true;
         detail = "bucket_sum=" + std::to_string(sum) +
-                 " fetch_idle_cycles=" + std::to_string(fetchIdleCycles);
+                 " fetch_idle_cycles=" + std::to_string(s.fetchIdleCycles);
         return false;
     });
 
@@ -183,7 +185,7 @@ Cpu::predictBranchImpl(const trace::Instruction &inst)
     // windows while the predictors learn exactly as they would have.
     using trace::BranchType;
     if constexpr (!Warming)
-        ++branches;
+        ++stats_.branches;
 
     uint8_t kind = 0; // 0 none, 1 decode-resteer, 2 execute-flush
     lastPredictedPc = inst.nextPc();
@@ -193,7 +195,7 @@ Cpu::predictBranchImpl(const trace::Instruction &inst)
         direction->update(inst.pc, inst.taken);
         if (predicted != inst.taken) {
             if constexpr (!Warming)
-                ++branchMispredicts;
+                ++stats_.branchMispredicts;
             kind = 2;
             // The wrong path: the direction the predictor chose.
             lastPredictedPc =
@@ -202,7 +204,7 @@ Cpu::predictBranchImpl(const trace::Instruction &inst)
             Addr btb_target = btb.lookup(inst.pc);
             if (btb_target != inst.target) {
                 if constexpr (!Warming)
-                    ++btbMisses;
+                    ++stats_.btbMisses;
                 kind = std::max<uint8_t>(kind, 1);
             }
         }
@@ -215,7 +217,7 @@ Cpu::predictBranchImpl(const trace::Instruction &inst)
         Addr btb_target = btb.lookup(inst.pc);
         if (btb_target != inst.target) {
             if constexpr (!Warming)
-                ++btbMisses;
+                ++stats_.btbMisses;
             kind = 1; // direct target is recomputed at decode
         }
         btb.update(inst.pc, inst.target);
@@ -228,7 +230,7 @@ Cpu::predictBranchImpl(const trace::Instruction &inst)
         Addr predicted = itc.predict(inst.pc);
         if (predicted != inst.target) {
             if constexpr (!Warming)
-                ++branchMispredicts;
+                ++stats_.branchMispredicts;
             kind = 2;
             lastPredictedPc = predicted;
         }
@@ -241,7 +243,7 @@ Cpu::predictBranchImpl(const trace::Instruction &inst)
         Addr predicted = ras.pop();
         if (predicted != inst.target) {
             if constexpr (!Warming)
-                ++branchMispredicts;
+                ++stats_.branchMispredicts;
             kind = 2;
             lastPredictedPc = predicted;
         }
@@ -437,19 +439,19 @@ Cpu::fetchStage()
     // is the proximate cause even if the predictor is also stalled);
     // FTQ emptiness splits by whether the front end is waiting on a
     // mispredicted branch (redirect recovery) or simply under-supplied.
-    ++fetchIdleCycles;
+    ++stats_.fetchIdleCycles;
     obs::StallReason reason;
     if (lineBlocked) {
-        ++fetchStallLineMiss;
+        ++stats_.fetchStallLineMiss;
         reason = obs::StallReason::LineMiss;
     } else if (robBlocked) {
-        ++fetchStallRobFull;
+        ++stats_.fetchStallRobFull;
         reason = obs::StallReason::BackendFull;
     } else if (predictBlockedOnBranch || now < predictStallUntil) {
-        ++fetchStallFtqEmptyMispredict;
+        ++stats_.fetchStallFtqEmptyMispredict;
         reason = obs::StallReason::FtqEmptyMispredict;
     } else {
-        ++fetchStallFtqEmptyStarved;
+        ++stats_.fetchStallFtqEmptyStarved;
         reason = obs::StallReason::FtqEmptyStarved;
     }
     if (tracer_ != nullptr)
@@ -465,7 +467,7 @@ Cpu::retireStage()
     uint32_t budget = cfg.retireWidth;
     while (budget > 0 && !rob.empty() && rob.front().done <= now) {
         rob.pop_front();
-        ++retired;
+        ++stats_.instructions;
         --budget;
     }
 }
@@ -551,54 +553,45 @@ Cpu::skipIdleCycles(Cycle watchdog)
     // static across the window (the window ends at the first event that
     // could change it): bulk-charge the one bucket so the partition
     // identity — audited under --check — holds exactly.
-    fetchIdleCycles += window;
+    stats_.cycles += window;
+    stats_.fetchIdleCycles += window;
     if (!ftq.empty()) {
         const FtqGroup &head = ftq.front();
         if (head.accessPending || head.ready > now + 1)
-            fetchStallLineMiss += window;
+            stats_.fetchStallLineMiss += window;
         else
-            fetchStallRobFull += window;
+            stats_.fetchStallRobFull += window;
     } else {
         // An idle predictor with an empty FTQ makes the window 0, so a
         // skipped empty-FTQ window is always redirect recovery
         // (mispredict bucket), never starvation.
-        fetchStallFtqEmptyMispredict += window;
+        stats_.fetchStallFtqEmptyMispredict += window;
     }
     now += window;
 }
 
-SimStats
-Cpu::run(trace::InstructionSource &trace, uint64_t instructions,
-         uint64_t warmup_instructions, obs::IntervalSampler *sampler,
-         obs::PhaseProfiler *profiler)
+void
+Cpu::advance(trace::InstructionSource &trace, uint64_t instructions,
+             obs::IntervalSampler *sampler)
 {
     EIP_ASSERT(instructions > 0, "instruction budget must be positive");
-
-    // Phase attribution happens at the three boundaries only (entry,
-    // warm-up end, loop exit) — the hot loop never sees the profiler.
-    if (profiler != nullptr)
-        profiler->transition(warmup_instructions == 0 ? "measure"
-                                                      : "warmup");
-
-    measuring_ = warmup_instructions == 0;
-    measureStartRetired_ = retired;
-    measureStartCycle_ = now;
-    dramStart_ = dram_->accesses();
-
-    const uint64_t total_budget = warmup_instructions + instructions;
-    // Generous watchdog: the core cannot be slower than 1 instruction per
-    // 10k cycles unless the pipeline deadlocked (a bug).
-    const Cycle watchdog = 10000 * total_budget + 10'000'000;
+    const uint64_t target = stats_.instructions + instructions;
+    // Generous watchdog, relative to entry (`now` may already carry
+    // warm-up or warming cycles): the core cannot be slower than 1
+    // instruction per 10k cycles unless the pipeline deadlocked (a bug).
+    const Cycle watchdog = now + 10000 * instructions + 10'000'000;
 
     // Event-driven skipping stands down for observers that want every
     // cycle: the tracer records per-cycle stall events and the invariant
     // registry audits strided checks against the cycle counter. Both are
     // pure observers, so results are identical either way — which the
     // eipdiff skip axis pins down.
-    skipActive_ = cfg.eventSkip && tracer_ == nullptr && checks_ == nullptr;
+    const bool skip =
+        cfg.eventSkip && tracer_ == nullptr && checks_ == nullptr;
 
     while (true) {
         ++now;
+        ++stats_.cycles;
         retireStage();
         fetchStage();
         // Guarded stage calls: both stages are no-ops (their first check
@@ -616,73 +609,79 @@ Cpu::run(trace::InstructionSource &trace, uint64_t instructions,
 
         if (checks_ != nullptr)
             checks_->run(now);
-
-        if (!measuring_ && retired >= warmup_instructions) {
-            measuring_ = true;
-            measureStartRetired_ = retired;
-            measureStartCycle_ = now;
-            dramStart_ = dram_->accesses();
-            l1i_->stats() = CacheStats{};
-            l1d_->stats() = CacheStats{};
-            l2_->stats() = CacheStats{};
-            llc_->stats() = CacheStats{};
-            branches = 0;
-            branchMispredicts = 0;
-            btbMisses = 0;
-            fetchStallLineMiss = 0;
-            fetchStallFtqEmptyMispredict = 0;
-            fetchStallFtqEmptyStarved = 0;
-            fetchStallRobFull = 0;
-            fetchIdleCycles = 0;
-            // The tracer's roll-ups must cover exactly the same window
-            // as the stats they reconcile against.
-            if (tracer_ != nullptr)
-                tracer_->measurementBoundary(now);
-            // The blame ledger resets with the stats it partitions; the
-            // per-line shadow state persists (warm-up-learned state
-            // legitimately explains measured misses).
-            if (why_ != nullptr)
-                why_->measurementBoundary();
-            if (profiler != nullptr)
-                profiler->transition("measure");
-        }
-        if (measuring_ && sampler != nullptr)
-            sampler->tick(retired - measureStartRetired_,
-                          now - measureStartCycle_);
-        if (measuring_ && retired >= measureStartRetired_ + instructions)
+        if (sampler != nullptr)
+            sampler->tick(stats_.instructions, stats_.cycles);
+        if (stats_.instructions >= target)
             break;
         EIP_ASSERT(now < watchdog, "pipeline deadlock (watchdog expired)");
-        if (skipActive_)
+        if (skip)
             skipIdleCycles(watchdog);
     }
 
-    // End-of-run sweep: strided audits run once more regardless of where
-    // their stride counter ended up.
+    // Exit sweep: strided audits run once more regardless of where their
+    // stride counter ended up.
     if (checks_ != nullptr)
         checks_->runAll(now);
+}
+
+void
+Cpu::resetMeasurement(bool markObservers)
+{
+    // Assignment in place: registered counters keep pointing at the same
+    // storage. Zeroing dramAccesses also resets the Dram's tally.
+    stats_ = SimStats{};
+    l1i_->stats() = CacheStats{};
+    l1d_->stats() = CacheStats{};
+    l2_->stats() = CacheStats{};
+    llc_->stats() = CacheStats{};
+    if (!markObservers)
+        return;
+    // The tracer's roll-ups must cover exactly the same window as the
+    // stats they reconcile against.
+    if (tracer_ != nullptr)
+        tracer_->measurementBoundary(now);
+    // The blame ledger resets with the stats it partitions; the per-line
+    // shadow state persists (warm-up-learned state legitimately explains
+    // measured misses).
+    if (why_ != nullptr)
+        why_->measurementBoundary();
+}
+
+SimStats
+Cpu::snapshot() const
+{
+    SimStats stats = stats_;
+    stats.l1i = l1i_->stats();
+    stats.l1d = l1d_->stats();
+    stats.l2 = l2_->stats();
+    stats.llc = llc_->stats();
+    return stats;
+}
+
+SimStats
+Cpu::run(trace::InstructionSource &trace, uint64_t instructions,
+         uint64_t warmup_instructions, obs::IntervalSampler *sampler,
+         obs::PhaseProfiler *profiler)
+{
+    // Phase attribution happens at the boundaries only (entry, warm-up
+    // end, loop exit) — the hot loop never sees the profiler.
+    if (warmup_instructions > 0) {
+        if (profiler != nullptr)
+            profiler->transition("warmup");
+        advance(trace, warmup_instructions);
+    }
+    // A Cpu that has not simulated a cycle yet has no history for the
+    // observers to cut, so a first run without warm-up gets no marker.
+    resetMeasurement(now > 0);
+    if (profiler != nullptr)
+        profiler->transition("measure");
+    advance(trace, instructions, sampler);
 
     // Everything past the loop — stats assembly here, registry dump and
     // analysis extraction in the caller — is fill/drain bookkeeping.
     if (profiler != nullptr)
         profiler->transition("fill_drain");
-
-    SimStats stats;
-    stats.instructions = retired - measureStartRetired_;
-    stats.cycles = now - measureStartCycle_;
-    stats.branches = branches;
-    stats.branchMispredicts = branchMispredicts;
-    stats.btbMisses = btbMisses;
-    stats.fetchStallLineMiss = fetchStallLineMiss;
-    stats.fetchStallFtqEmptyMispredict = fetchStallFtqEmptyMispredict;
-    stats.fetchStallFtqEmptyStarved = fetchStallFtqEmptyStarved;
-    stats.fetchStallRobFull = fetchStallRobFull;
-    stats.fetchIdleCycles = fetchIdleCycles;
-    stats.l1i = l1i_->stats();
-    stats.l1d = l1d_->stats();
-    stats.l2 = l2_->stats();
-    stats.llc = llc_->stats();
-    stats.dramAccesses = dram_->accesses() - dramStart_;
-    return stats;
+    return snapshot();
 }
 
 uint64_t
@@ -693,16 +692,17 @@ Cpu::statsFingerprint() const
         h ^= v;
         h *= 1099511628211ULL;
     };
-    mix(retired);
-    mix(branches);
-    mix(branchMispredicts);
-    mix(btbMisses);
-    mix(fetchStallLineMiss);
-    mix(fetchStallFtqEmptyMispredict);
-    mix(fetchStallFtqEmptyStarved);
-    mix(fetchStallRobFull);
-    mix(fetchIdleCycles);
-    mix(dram_->accesses());
+    mix(stats_.instructions);
+    mix(stats_.cycles);
+    mix(stats_.branches);
+    mix(stats_.branchMispredicts);
+    mix(stats_.btbMisses);
+    mix(stats_.fetchStallLineMiss);
+    mix(stats_.fetchStallFtqEmptyMispredict);
+    mix(stats_.fetchStallFtqEmptyStarved);
+    mix(stats_.fetchStallRobFull);
+    mix(stats_.fetchIdleCycles);
+    mix(stats_.dramAccesses);
     for (const Cache *cache :
          {l1i_.get(), l1d_.get(), l2_.get(), llc_.get()}) {
         const CacheStats &s = cache->stats();
@@ -786,170 +786,10 @@ Cpu::warmFunctional(trace::InstructionSource &trace, uint64_t instructions,
 }
 
 void
-Cpu::beginSampledMeasurement()
-{
-    // Mirrors run()'s warm-up boundary: reset every statistic and pin
-    // the measurement origin. Warming freezes statistics afterwards, so
-    // the cumulative counters equal the sum over detailed windows.
-    sampledMode_ = true;
-    sampledCycles_ = 0;
-    measuring_ = true;
-    measureStartRetired_ = retired;
-    measureStartCycle_ = now;
-    dramStart_ = dram_->accesses();
-    l1i_->stats() = CacheStats{};
-    l1d_->stats() = CacheStats{};
-    l2_->stats() = CacheStats{};
-    llc_->stats() = CacheStats{};
-    branches = 0;
-    branchMispredicts = 0;
-    btbMisses = 0;
-    fetchStallLineMiss = 0;
-    fetchStallFtqEmptyMispredict = 0;
-    fetchStallFtqEmptyStarved = 0;
-    fetchStallRobFull = 0;
-    fetchIdleCycles = 0;
-    if (tracer_ != nullptr)
-        tracer_->measurementBoundary(now);
-    if (why_ != nullptr)
-        why_->measurementBoundary();
-}
-
-Cpu::WindowStats
-Cpu::runWindow(trace::InstructionSource &trace, uint64_t instructions)
-{
-    EIP_ASSERT(sampledMode_,
-               "runWindow requires beginSampledMeasurement()");
-    EIP_ASSERT(instructions > 0, "window budget must be positive");
-
-    const uint64_t start_retired = retired;
-    const Cycle start_cycle = now;
-    const CacheStats &l1i_stats = l1i_->stats();
-    const uint64_t start_misses = l1i_stats.demandMisses;
-    const uint64_t start_useful = l1i_stats.usefulPrefetches;
-    const uint64_t start_late = l1i_stats.latePrefetches;
-    const uint64_t start_issued = l1i_stats.prefetchIssued;
-
-    const uint64_t target = retired + instructions;
-    // Same deadlock bound as run(), relative to window entry (`now`
-    // already carries warming cycles).
-    const Cycle watchdog = now + 10000 * instructions + 10'000'000;
-
-    skipActive_ = cfg.eventSkip && tracer_ == nullptr && checks_ == nullptr;
-
-    while (true) {
-        ++now;
-        retireStage();
-        fetchStage();
-        if (ftqPendingAccess_ > 0)
-            l1iAccessStage();
-        if (wrongPathActive)
-            wrongPathStage();
-        predictStage(trace);
-        l1i_->tick(now);
-        l1d_->tick(now);
-        l2_->tick(now);
-        llc_->tick(now);
-
-        if (checks_ != nullptr)
-            checks_->run(now);
-
-        if (retired >= target)
-            break;
-        EIP_ASSERT(now < watchdog, "pipeline deadlock (watchdog expired)");
-        if (skipActive_)
-            skipIdleCycles(watchdog);
-    }
-
-    if (checks_ != nullptr)
-        checks_->runAll(now);
-
-    sampledCycles_ += now - start_cycle;
-
-    WindowStats window;
-    window.instructions = retired - start_retired;
-    window.cycles = now - start_cycle;
-    window.l1iDemandMisses = l1i_stats.demandMisses - start_misses;
-    window.l1iUsefulPrefetches = l1i_stats.usefulPrefetches - start_useful;
-    window.l1iLatePrefetches = l1i_stats.latePrefetches - start_late;
-    window.l1iPrefetchIssued = l1i_stats.prefetchIssued - start_issued;
-    return window;
-}
-
-SimStats
-Cpu::sampledStats() const
-{
-    SimStats stats;
-    stats.instructions = retired - measureStartRetired_;
-    stats.cycles = sampledCycles_;
-    stats.branches = branches;
-    stats.branchMispredicts = branchMispredicts;
-    stats.btbMisses = btbMisses;
-    stats.fetchStallLineMiss = fetchStallLineMiss;
-    stats.fetchStallFtqEmptyMispredict = fetchStallFtqEmptyMispredict;
-    stats.fetchStallFtqEmptyStarved = fetchStallFtqEmptyStarved;
-    stats.fetchStallRobFull = fetchStallRobFull;
-    stats.fetchIdleCycles = fetchIdleCycles;
-    stats.l1i = l1i_->stats();
-    stats.l1d = l1d_->stats();
-    stats.l2 = l2_->stats();
-    stats.llc = llc_->stats();
-    stats.dramAccesses = dram_->accesses() - dramStart_;
-    return stats;
-}
-
-void
 Cpu::registerCounters(obs::CounterRegistry &reg)
 {
-    // Measured-phase deltas for the counters the warm boundary resets by
-    // recording a start value (rather than zeroing the counter itself).
-    reg.counter("cpu.instructions",
-                [this]() { return retired - measureStartRetired_; });
-    reg.counter("cpu.cycles", [this]() {
-        // Sampled runs: warming advances `now` without charging cycles,
-        // so the measured cycle count is the in-window accumulator.
-        return sampledMode_
-            ? sampledCycles_
-            : static_cast<uint64_t>(now - measureStartCycle_);
-    });
-    reg.counter("cpu.branches", &branches);
-    reg.counter("cpu.branch_mispredicts", &branchMispredicts);
-    reg.counter("cpu.btb_misses", &btbMisses);
-    reg.counter("cpu.fetch_stall_line_miss", &fetchStallLineMiss);
-    reg.counter("cpu.fetch_stall_ftq_empty", [this]() {
-        return fetchStallFtqEmptyMispredict + fetchStallFtqEmptyStarved;
-    });
-    reg.counter("cpu.fetch_stall_ftq_empty_mispredict",
-                &fetchStallFtqEmptyMispredict);
-    reg.counter("cpu.fetch_stall_ftq_empty_starved",
-                &fetchStallFtqEmptyStarved);
-    reg.counter("cpu.fetch_stall_rob_full", &fetchStallRobFull);
-    reg.counter("cpu.fetch_idle_cycles", &fetchIdleCycles);
-    reg.counter("dram.accesses",
-                [this]() { return dram_->accesses() - dramStart_; });
-
-    reg.gauge("cpu.ipc", [this]() {
-        uint64_t cycles = sampledMode_
-            ? sampledCycles_
-            : static_cast<uint64_t>(now - measureStartCycle_);
-        uint64_t insts = retired - measureStartRetired_;
-        return cycles == 0 ? 0.0
-                           : static_cast<double>(insts) /
-                                 static_cast<double>(cycles);
-    });
-    reg.gauge("l1i.mpki", [this]() {
-        uint64_t insts = retired - measureStartRetired_;
-        return insts == 0 ? 0.0
-                          : 1000.0 *
-                                static_cast<double>(
-                                    l1i_->stats().demandMisses) /
-                                static_cast<double>(insts);
-    });
-
-    registerCacheStats(reg, "l1i", l1i_->stats());
-    registerCacheStats(reg, "l1d", l1d_->stats());
-    registerCacheStats(reg, "l2", l2_->stats());
-    registerCacheStats(reg, "llc", llc_->stats());
+    registerSimStats(reg, stats_, l1i_->stats(), l1d_->stats(), l2_->stats(),
+                     llc_->stats());
 
     if (l1iPrefetcher != nullptr)
         l1iPrefetcher->registerStats(reg);

@@ -77,68 +77,46 @@ class Cpu
     /**
      * Simulate until @p instructions have retired after a warm-up of
      * @p warmup_instructions (during which all structures train but
-     * statistics are discarded). An optional @p sampler snapshots the
-     * registered counters at instruction-interval boundaries of the
+     * statistics are discarded). Composed of the one cycle loop:
+     * advance() through the warm-up, resetMeasurement(), the measured
+     * advance(), then snapshot(). Statistics never carry over from an
+     * earlier run() on the same Cpu. An optional @p sampler snapshots
+     * the registered counters at instruction-interval boundaries of the
      * measured phase; sampling is read-only and never changes results.
      * An optional @p profiler attributes host wall time to the run's
      * coarse phases (warmup / measure / fill_drain); it is touched only
-     * at the two phase boundaries, never inside the cycle loop.
+     * at the phase boundaries, never inside the cycle loop.
      */
     SimStats run(trace::InstructionSource &trace, uint64_t instructions,
                  uint64_t warmup_instructions = 0,
                  obs::IntervalSampler *sampler = nullptr,
                  obs::PhaseProfiler *profiler = nullptr);
 
-    /** Per-window scalar counters of one detailed sampling window (the
-     *  inputs of the four estimated metrics; see src/sample). */
-    struct WindowStats
-    {
-        uint64_t instructions = 0;
-        uint64_t cycles = 0;
-        uint64_t l1iDemandMisses = 0;
-        uint64_t l1iUsefulPrefetches = 0;
-        uint64_t l1iLatePrefetches = 0;
-        uint64_t l1iPrefetchIssued = 0;
+    /**
+     * The one cycle loop, shared by run() and the sampled driver
+     * (sample::runSampled): full timing simulation (event skipping
+     * included when cfg.eventSkip is set and no per-cycle observer is
+     * attached) until @p instructions more have retired. Measured cycles and
+     * every statistic are counted here and only here, so functional
+     * warming between two calls never shows up in any counter. Runs the
+     * --check audits every cycle plus a full sweep on exit, and panics
+     * if the pipeline deadlocks (watchdog relative to entry). An
+     * optional @p sampler is ticked once per loop iteration.
+     */
+    void advance(trace::InstructionSource &trace, uint64_t instructions,
+                 obs::IntervalSampler *sampler = nullptr);
 
-        double
-        ipc() const
-        {
-            return cycles == 0 ? 0.0
-                               : static_cast<double>(instructions) /
-                                     static_cast<double>(cycles);
-        }
+    /**
+     * Open a measured region at the current cycle: zero every
+     * statistic (core counters, the four cache levels, DRAM). With
+     * @p markObservers, also cut the attached observers' roll-ups here
+     * (the tracer's measure_start marker, the blame-ledger reset) so
+     * they cover exactly the window the statistics do.
+     */
+    void resetMeasurement(bool markObservers = true);
 
-        double
-        mpki() const
-        {
-            return instructions == 0
-                ? 0.0
-                : 1000.0 * static_cast<double>(l1iDemandMisses) /
-                      static_cast<double>(instructions);
-        }
-
-        /** Same semantics as CacheStats::coverage (late prefetches are
-         *  excluded from the would-be-miss denominator). */
-        double
-        coverage() const
-        {
-            uint64_t uncovered = l1iDemandMisses - l1iLatePrefetches;
-            uint64_t would_be = l1iUsefulPrefetches + uncovered;
-            return would_be == 0
-                ? 0.0
-                : static_cast<double>(l1iUsefulPrefetches) /
-                      static_cast<double>(would_be);
-        }
-
-        double
-        accuracy() const
-        {
-            return l1iPrefetchIssued == 0
-                ? 0.0
-                : static_cast<double>(l1iUsefulPrefetches) /
-                      static_cast<double>(l1iPrefetchIssued);
-        }
-    };
+    /** The statistics accumulated since the last resetMeasurement(). */
+    SimStats snapshot() const;
 
     /**
      * Functional warming (SMARTS-style sampling, DESIGN.md §3.13):
@@ -165,37 +143,12 @@ class Cpu
                         uint64_t cpiInstructions = 1);
 
     /**
-     * Enter sampled measurement just before the first detailed window:
-     * resets statistics exactly like run()'s warm-up boundary and pins
-     * the measurement origin, so cumulative statistics equal the sum
-     * over the detailed windows (warming freezes them in between) and
-     * registered counters report the window aggregate.
-     */
-    void beginSampledMeasurement();
-
-    /**
-     * One detailed sampling window: full timing simulation (event
-     * skipping included, same eligibility rules as run()) until
-     * @p instructions retire. Requires beginSampledMeasurement() first.
-     * Returns this window's scalar deltas for the streaming estimator.
-     */
-    WindowStats runWindow(trace::InstructionSource &trace,
-                          uint64_t instructions);
-
-    /**
-     * Aggregate statistics over all detailed windows so far (cycles are
-     * the accumulated in-window cycles, never warming time) — the
-     * sampled-run counterpart of run()'s return value.
-     */
-    SimStats sampledStats() const;
-
-    /**
      * Register every live counter of this CPU — core counters, the four
      * cache levels, DRAM, and (when attached) the L1I prefetcher's
      * custom statistics — with @p reg. Counters report the measured
-     * phase (they reset at the warm-up boundary exactly like the
-     * returned SimStats); prefetcher-internal statistics cover the
-     * whole run including warm-up. @p reg must not outlive the Cpu.
+     * region (they reset in resetMeasurement() exactly like snapshot());
+     * prefetcher-internal statistics cover the whole run including
+     * warm-up. @p reg must not outlive the Cpu.
      */
     void registerCounters(obs::CounterRegistry &reg);
 
@@ -265,8 +218,8 @@ class Cpu
     /**
      * Event-driven cycle skipping: when the next inertWindow() cycles are
      * no-ops, jump `now` past them in one step, bulk-incrementing the
-     * stall taxonomy. Only called when skipActive_ (requires
-     * cfg.eventSkip, no tracer, no invariant checking).
+     * stall taxonomy. Only called when cfg.eventSkip is set and no
+     * tracer or invariant checking is attached.
      */
     void skipIdleCycles(Cycle watchdog);
     /** Compute the completion cycle of an instruction entering the ROB. */
@@ -278,8 +231,8 @@ class Cpu
      *  lookup sequence; the branch counters advance only when !Warming. */
     template <bool Warming>
     uint8_t predictBranchImpl(const trace::Instruction &inst);
-    /** Hash of every statistic warming must not touch (stall buckets,
-     *  branch counters, per-level cache stats, DRAM accesses, retired):
+    /** Hash of every statistic warming must not touch (core counters
+     *  including measured cycles, per-level cache stats):
      *  warmFunctional audits entry == exit under --check. */
     uint64_t statsFingerprint() const;
     /** Line address of @p pc in the L1I's address space. */
@@ -318,34 +271,12 @@ class Cpu
     Addr wrongPathPc = 0;
     Addr lastPredictedPc = 0; ///< where the front-end believed it was going
     util::Ring<RobEntry> rob;
-    uint64_t retired = 0;
-    /** Cycle skipping armed for the current run() (cfg.eventSkip and no
-     *  observer that wants every cycle: tracer or invariant checks). */
-    bool skipActive_ = false;
 
-    // Measurement-phase bookkeeping. Members (not run() locals) so that
-    // registered counter closures can report measured-phase deltas live.
-    bool measuring_ = false;
-    uint64_t measureStartRetired_ = 0;
-    Cycle measureStartCycle_ = 0;
-    uint64_t dramStart_ = 0;
-
-    // Sampled-mode bookkeeping (beginSampledMeasurement/runWindow).
-    // Warming advances `now` without charging cycles anywhere, so the
-    // cycle counters report the accumulated in-window cycles instead of
-    // now - measureStartCycle_ while sampledMode_ is set.
-    bool sampledMode_ = false;
-    uint64_t sampledCycles_ = 0;
-
-    // Raw counters (copied into SimStats).
-    uint64_t branches = 0;
-    uint64_t branchMispredicts = 0;
-    uint64_t btbMisses = 0;
-    uint64_t fetchStallLineMiss = 0;
-    uint64_t fetchStallFtqEmptyMispredict = 0;
-    uint64_t fetchStallFtqEmptyStarved = 0;
-    uint64_t fetchStallRobFull = 0;
-    uint64_t fetchIdleCycles = 0;
+    /** Core counters of the measured region (instructions retired,
+     *  cycles simulated, branches, stall taxonomy, DRAM accesses — the
+     *  Dram counts straight into dramAccesses). The per-level cache
+     *  statistics live in the caches; snapshot() joins the two. */
+    SimStats stats_;
 
     obs::EventTracer *tracer_ = nullptr;
     obs::MissAttribution *why_ = nullptr;

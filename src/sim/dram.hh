@@ -22,18 +22,26 @@ class Dram
         : baseLatency(base_latency), jitter_(jitter), rng(seed)
     {}
 
+    Dram(const Dram &) = delete;
+    Dram &operator=(const Dram &) = delete;
+
     /** Perform an access issued at @p now; returns the data-ready cycle. */
     Cycle
     access(Cycle now)
     {
-        ++accesses_;
+        ++*accesses_;
         Cycle extra = 0;
         if (jitter_ > 0 && rng.chance(0.3))
             extra = rng.below(jitter_);
         return now + baseLatency + extra;
     }
 
-    uint64_t accesses() const { return accesses_; }
+    uint64_t accesses() const { return *accesses_; }
+
+    /** Count accesses into @p counter (which must outlive the Dram)
+     *  instead of the built-in tally: the CPU counts them straight into
+     *  its measured statistics, so resetting those resets this too. */
+    void countAccessesInto(uint64_t &counter) { accesses_ = &counter; }
 
     /**
      * Expected latency of one access, for functional warming: the jitter
@@ -54,7 +62,8 @@ class Dram
     uint32_t baseLatency;
     uint32_t jitter_;
     Rng rng;
-    uint64_t accesses_ = 0;
+    uint64_t ownAccesses_ = 0;
+    uint64_t *accesses_ = &ownAccesses_;
 };
 
 } // namespace eip::sim

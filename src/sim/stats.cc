@@ -50,7 +50,16 @@ registerCacheStats(obs::CounterRegistry &reg, const std::string &prefix,
 void
 registerSimStats(obs::CounterRegistry &reg, const SimStats &stats)
 {
-    const SimStats *s = &stats;
+    registerSimStats(reg, stats, stats.l1i, stats.l1d, stats.l2, stats.llc);
+}
+
+void
+registerSimStats(obs::CounterRegistry &reg, const SimStats &core,
+                 const CacheStats &l1i, const CacheStats &l1d,
+                 const CacheStats &l2, const CacheStats &llc)
+{
+    const SimStats *s = &core;
+    const CacheStats *l1i_stats = &l1i;
 
     reg.counter("cpu.instructions", &s->instructions);
     reg.counter("cpu.cycles", &s->cycles);
@@ -69,12 +78,14 @@ registerSimStats(obs::CounterRegistry &reg, const SimStats &stats)
     reg.counter("dram.accesses", &s->dramAccesses);
 
     reg.gauge("cpu.ipc", [s]() { return s->ipc(); });
-    reg.gauge("l1i.mpki", [s]() { return s->l1iMpki(); });
+    reg.gauge("l1i.mpki", [s, l1i_stats]() {
+        return perKiloInstruction(l1i_stats->demandMisses, s->instructions);
+    });
 
-    registerCacheStats(reg, "l1i", s->l1i);
-    registerCacheStats(reg, "l1d", s->l1d);
-    registerCacheStats(reg, "l2", s->l2);
-    registerCacheStats(reg, "llc", s->llc);
+    registerCacheStats(reg, "l1i", l1i);
+    registerCacheStats(reg, "l1d", l1d);
+    registerCacheStats(reg, "l2", l2);
+    registerCacheStats(reg, "llc", llc);
 }
 
 } // namespace eip::sim

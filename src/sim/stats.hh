@@ -157,6 +157,16 @@ struct CacheStats
     }
 };
 
+/** @p events per thousand @p instructions (0 without instructions). */
+inline double
+perKiloInstruction(uint64_t events, uint64_t instructions)
+{
+    return instructions == 0
+        ? 0.0
+        : 1000.0 * static_cast<double>(events) /
+              static_cast<double>(instructions);
+}
+
 /** Whole-run statistics. */
 struct SimStats
 {
@@ -169,7 +179,8 @@ struct SimStats
 
     // Front-end stall attribution. Exactly one bucket is charged per
     // zero-fetch cycle; the four buckets partition fetchIdleCycles
-    // (debug-asserted every cycle, regression-tested in test_cpu.cc).
+    // (the cpu.fetch_stall_partition --check invariant, regression-
+    // tested in test_cpu.cc).
     uint64_t fetchStallLineMiss = 0; ///< head FTQ line not yet arrived
     uint64_t fetchStallFtqEmptyMispredict = 0; ///< FTQ drained while a
                                                ///< redirect/flush resolves
@@ -206,10 +217,7 @@ struct SimStats
     double
     l1iMpki() const
     {
-        return instructions == 0
-            ? 0.0
-            : 1000.0 * static_cast<double>(l1i.demandMisses) /
-                  static_cast<double>(instructions);
+        return perKiloInstruction(l1i.demandMisses, instructions);
     }
 };
 
@@ -224,6 +232,17 @@ void registerCacheStats(obs::CounterRegistry &reg, const std::string &prefix,
 
 /** As above for a whole SimStats ("cpu.", "dram.", per-level caches). */
 void registerSimStats(obs::CounterRegistry &reg, const SimStats &stats);
+
+/**
+ * As above, with the per-level statistics read from @p l1i .. @p llc
+ * instead of @p core's own copies (so l1i.mpki divides the live L1I
+ * misses): the form a running sim::Cpu registers, whose core counters
+ * and cache statistics live apart. The one owner of the "cpu." and
+ * "dram." counter names and their order.
+ */
+void registerSimStats(obs::CounterRegistry &reg, const SimStats &core,
+                      const CacheStats &l1i, const CacheStats &l1d,
+                      const CacheStats &l2, const CacheStats &llc);
 
 } // namespace eip::sim
 

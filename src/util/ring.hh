@@ -7,8 +7,7 @@
  * segmented allocation buys nothing — a Ring never allocates after
  * construction and indexes with a power-of-two mask.
  *
- * Unlike util::CircularBuffer (overwrite-oldest, newest-first indexing),
- * a full Ring rejects pushes: exceeding the capacity is a simulator bug
+ * A full Ring rejects pushes: exceeding the capacity is a simulator bug
  * (the occupancy bound was checked by the caller), so push asserts.
  */
 

@@ -125,6 +125,36 @@ TEST(Cpu, StallAccountingCoversCycles)
                   stats.fetchStallFtqEmptyStarved);
 }
 
+TEST(Cpu, RunAfterFunctionalWarmingKeepsWatchdogRelative)
+{
+    // Warming at 1000 cycles per instruction moves the clock far past
+    // an absolute watchdog sized for the short run that follows; the
+    // deadlock bound must count from where the run starts.
+    trace::Workload w = trace::tinyWorkload();
+    trace::Program prog = trace::buildProgram(w.program);
+    trace::Executor exec(prog, w.exec);
+    Cpu cpu{SimConfig{}};
+    cpu.warmFunctional(exec, 20000, 1000, 1);
+    SimStats stats = cpu.run(exec, 1000);
+    EXPECT_GE(stats.instructions, 1000u);
+    // Warming cycles are never measured.
+    EXPECT_LT(stats.cycles, 1000u * 1000u);
+}
+
+TEST(Cpu, SecondRunReportsOnlyItsOwnStatistics)
+{
+    trace::Workload w = trace::tinyWorkload();
+    trace::Program prog = trace::buildProgram(w.program);
+    trace::Executor exec(prog, w.exec);
+    Cpu cpu{SimConfig{}};
+    cpu.run(exec, 100000, 0);
+    SimStats second = cpu.run(exec, 1000, 0);
+    EXPECT_GE(second.instructions, 1000u);
+    EXPECT_LT(second.instructions, 1000u + cpu.config().retireWidth);
+    EXPECT_LE(second.fetchIdleCycles, second.cycles);
+    EXPECT_LE(second.branches, second.instructions);
+}
+
 TEST(Cpu, PhysicalAddressingRunsAndDiffers)
 {
     SimConfig virt;

@@ -291,9 +291,18 @@ TEST(SampledRun, SummaryAccountsForEveryInstruction)
     spec.sampleWindow = 2000;
     spec.samplePeriod = 20000;
     spec.sampleWarm = 4000;
+    spec.collectCounters = true;
 
     harness::RunResult r = harness::runOne(w, spec);
     ASSERT_TRUE(r.hasSampling);
+    // The live counters report the window aggregate the returned stats
+    // do: warming between windows is charged to neither.
+    EXPECT_EQ(r.counters.counter("cpu.instructions"), r.stats.instructions);
+    EXPECT_EQ(r.counters.counter("cpu.cycles"), r.stats.cycles);
+    EXPECT_EQ(r.counters.gauge("cpu.ipc"), r.stats.ipc());
+    EXPECT_EQ(r.counters.counter("dram.accesses"), r.stats.dramAccesses);
+    EXPECT_EQ(r.counters.counter("l1i.demand_misses"),
+              r.stats.l1i.demandMisses);
     const Summary &s = r.sampling;
     EXPECT_EQ(s.windows, 4u);
     // Windows retire at fetch-group granularity, so each may overshoot

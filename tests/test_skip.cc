@@ -71,22 +71,25 @@ class CpuTestPeer
 
     static void skip(Cpu &cpu, Cycle bound) { cpu.skipIdleCycles(bound); }
 
-    static uint64_t idle(const Cpu &cpu) { return cpu.fetchIdleCycles; }
+    static uint64_t idle(const Cpu &cpu)
+    {
+        return cpu.stats_.fetchIdleCycles;
+    }
     static uint64_t lineMiss(const Cpu &cpu)
     {
-        return cpu.fetchStallLineMiss;
+        return cpu.stats_.fetchStallLineMiss;
     }
     static uint64_t robFull(const Cpu &cpu)
     {
-        return cpu.fetchStallRobFull;
+        return cpu.stats_.fetchStallRobFull;
     }
     static uint64_t emptyMispredict(const Cpu &cpu)
     {
-        return cpu.fetchStallFtqEmptyMispredict;
+        return cpu.stats_.fetchStallFtqEmptyMispredict;
     }
     static uint64_t emptyStarved(const Cpu &cpu)
     {
-        return cpu.fetchStallFtqEmptyStarved;
+        return cpu.stats_.fetchStallFtqEmptyStarved;
     }
 };
 
