@@ -8,6 +8,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdlib>
+#include <string>
+
 #include "core/entangled_table.hh"
 #include "core/entangling.hh"
 #include "core/history_buffer.hh"
@@ -99,16 +102,48 @@ BM_CacheDemandAccess(benchmark::State &state)
 }
 BENCHMARK(BM_CacheDemandAccess);
 
-void
-BM_TraceExecutor(benchmark::State &state)
+/** `tiny` or a CVP catalogue workload such as `srv-1`. */
+trace::Workload
+workloadNamed(const std::string &name)
 {
-    trace::Workload w = trace::tinyWorkload();
+    if (name == "tiny")
+        return trace::tinyWorkload();
+    for (const trace::Workload &w : trace::cvpSuite(1)) {
+        if (w.name == name)
+            return w;
+    }
+    std::abort();
+}
+
+void
+BM_TraceExecutor(benchmark::State &state, const char *workload)
+{
+    trace::Workload w = workloadNamed(workload);
     trace::Program prog = trace::buildProgram(w.program);
     trace::Executor exec(prog, w.exec);
     for (auto _ : state)
         benchmark::DoNotOptimize(exec.next());
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
-BENCHMARK(BM_TraceExecutor);
+BENCHMARK_CAPTURE(BM_TraceExecutor, tiny, "tiny");
+BENCHMARK_CAPTURE(BM_TraceExecutor, srv1, "srv-1");
+
+/** Fast-forward throughput (the sampling controller's skip phase), to
+ *  read against BM_TraceExecutor/srv1 in items per second. */
+void
+BM_TraceExecutorSkip(benchmark::State &state, const char *workload)
+{
+    constexpr uint64_t kSpan = 1 << 16;
+    trace::Workload w = workloadNamed(workload);
+    trace::Program prog = trace::buildProgram(w.program);
+    trace::Executor exec(prog, w.exec);
+    for (auto _ : state) {
+        exec.skip(kSpan);
+        benchmark::DoNotOptimize(exec.emitted());
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * kSpan));
+}
+BENCHMARK_CAPTURE(BM_TraceExecutorSkip, srv1, "srv-1");
 
 void
 BM_EntanglingOperateHook(benchmark::State &state)

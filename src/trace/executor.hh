@@ -11,7 +11,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "trace/instruction.hh"
@@ -34,6 +33,10 @@ struct ExecutorConfig
 /**
  * Deterministic CFG walker. Identical (program, config) pairs yield
  * bit-identical instruction streams.
+ *
+ * The Program is shared and immutable; the executor holds only mutable
+ * state, kept in one flat array indexed by the dense site ids the builder
+ * assigned (Block::siteBase).
  */
 class Executor : public InstructionSource
 {
@@ -43,7 +46,11 @@ class Executor : public InstructionSource
     /** Produce the next dynamic instruction. Never fails. */
     const Instruction &next() override;
 
-    /** Dynamic instructions emitted so far. */
+    /** Fast-forward a block at a time: a fully covered body only replays
+     *  its RNG draws and stream-cursor updates (see skipBody). */
+    void skip(uint64_t n) override;
+
+    /** Dynamic instructions emitted or skipped so far. */
     uint64_t emitted() const { return emittedCount; }
 
     /** Current call depth (for tests). */
@@ -56,33 +63,46 @@ class Executor : public InstructionSource
         uint32_t resumeBlock; ///< caller block to resume at after return
     };
 
-    /** Position inside the current block's body; equal to body size when
-     *  the terminator is next. */
     void advanceToBlock(uint32_t func, uint32_t block);
-    void emitBody(const StaticInst &inst, uint64_t pc);
-    void emitTerminator();
+    /** One instruction: the next body instruction or the terminator.
+     *  With Emit false nothing is written to `out`, but every RNG draw
+     *  and state update still happens. */
+    template <bool Emit> void step();
+    template <bool Emit> void stepTerminator();
+    /** Set `out`'s branch fields; the target is the entered block. */
+    template <bool Emit> void recordBranch(BranchType type, bool taken);
+    /** Step over @p blk's whole body (bodyPos 0) without visiting it. */
+    void skipBody(const Block &blk);
     uint64_t dataAddress(const StaticInst &inst, uint64_t pc);
+    /** Advance the next Stream site's cursor (the site at @p pc with
+     *  @p stride); returns the accessed address. */
+    uint64_t stepStream(uint64_t pc, uint16_t stride);
+    bool loopTaken(const Block &blk);
+    uint32_t dispatchCallee(const Block &blk);
 
     const Program &prog;
     ExecutorConfig config;
     Rng rng;
 
     uint32_t curFunc = 0;
-    uint32_t curBlock = 0;
+    const Block *cur = nullptr;
+    /** Position inside the current block's body; equal to body size when
+     *  the terminator is next. */
     size_t bodyPos = 0;
     uint64_t bodyPc = 0;
+    uint32_t nextSite = 0; ///< site id of the body's next Stream site
 
     std::vector<Frame> stack;
-    /** Remaining trips for active loop back-edges, keyed by
-     *  (func << 32) | block. */
-    std::unordered_map<uint64_t, uint32_t> loopTrips;
-    /** Cyclic position of each wide dispatch site (same key scheme). */
-    std::unordered_map<uint64_t, uint32_t> dispatchPos;
+    /**
+     * Mutable state per site id. A Stream site holds its cursor (0 until
+     * first touched), a loop back-edge its remaining taken trips plus one
+     * (0 outside the loop), a wide dispatch site its position in the
+     * callee list.
+     */
+    std::vector<uint64_t> siteState;
 
     Instruction out;
     uint64_t emittedCount = 0;
-    /** Per-site cursors of streaming loads/stores, keyed by pc. */
-    std::unordered_map<uint64_t, uint64_t> streamCursor;
 };
 
 } // namespace eip::trace

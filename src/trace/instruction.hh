@@ -76,11 +76,14 @@ class InstructionSource
 
     /**
      * Advance the stream past @p n instructions without observing them.
-     * Positionally equivalent to n next() calls — stateful sources (the
-     * synthetic Executor) still execute the skipped region so the stream
-     * after the skip is bit-identical to having consumed it; replayers
-     * may reposition in O(1). Used by the sampling controller's
-     * fast-forward phase.
+     * Positionally equivalent to n next() calls: the stream after the
+     * skip is bit-identical to having consumed them, and this default
+     * does exactly that. The synthetic Executor fast-forwards a block at
+     * a time instead: a body the skip covers whole only replays its RNG
+     * draws and stream-cursor updates, while partly covered bodies (at
+     * the window edges) and terminators step one instruction at a time
+     * through the same code as next(). Replayers may reposition in O(1).
+     * Used by the sampling controller's fast-forward phase.
      */
     virtual void
     skip(uint64_t n)

@@ -292,11 +292,37 @@ Builder::estimateCost(const Function &fn) const
     return cost;
 }
 
-/** Lay out all blocks of all functions at concrete virtual addresses.
- *  Functions are partitioned into contiguous index ranges, one per module,
- *  so index locality (the common case for callees) stays within a module
- *  and only far calls cross module boundaries — as in real binaries that
- *  call into shared libraries. */
+/**
+ * Record @p blk's static facts: its body length in bytes, the RNG draws of
+ * one pass over its body, and dense ids for its stateful sites (its Stream
+ * sites in body order, then a loop or wide dispatch terminator).
+ */
+void
+recordStaticFacts(Program &prog, Block &blk)
+{
+    uint32_t bytes = 0, draws = 0, streams = 0;
+    for (const StaticInst &inst : blk.body) {
+        bytes += inst.size;
+        if (inst.isStreamSite())
+            ++streams;
+        else if (inst.isMemory() && inst.memPattern == MemPattern::Global)
+            ++draws;
+    }
+    EIP_ASSERT(bytes <= UINT16_MAX, "basic block body exceeds 64 KB");
+    blk.bodyBytes = static_cast<uint16_t>(bytes);
+    blk.bodyDraws = static_cast<uint16_t>(draws);
+    blk.bodyStreams = static_cast<uint16_t>(streams);
+    blk.siteBase = prog.sites;
+    prog.sites += streams;
+    if (blk.isLoopSite() || blk.isWideDispatch())
+        ++prog.sites;
+}
+
+/** Lay out all blocks of all functions at concrete virtual addresses and
+ *  record their static facts. Functions are partitioned into contiguous
+ *  index ranges, one per module, so index locality (the common case for
+ *  callees) stays within a module and only far calls cross module
+ *  boundaries — as in real binaries that call into shared libraries. */
 void
 assignAddresses(const ProgramConfig &cfg, Program &prog)
 {
@@ -310,13 +336,20 @@ assignAddresses(const ProgramConfig &cfg, Program &prog)
     size_t total = prog.functions.size();
     for (size_t f = 0; f < total; ++f) {
         Function &fn = prog.functions[f];
-        uint64_t &pc = cursor[f * modules / total];
+        const size_t module = f * modules / total;
+        uint64_t &pc = cursor[module];
         pc = (pc + align - 1) / align * align;
         fn.entryPc = pc;
         for (auto &blk : fn.blocks) {
             blk.startPc = pc;
+            recordStaticFacts(prog, blk);
             pc = blk.endPc();
         }
+        // One instruction per pc: the executor's per-site state and every
+        // pc-indexed structure of the simulator rely on it.
+        EIP_ASSERT(module + 1 == modules ||
+                       pc <= cfg.codeBase + (module + 1) * cfg.moduleStride,
+                   "code module overflows into the next; raise moduleStride");
         prog.codeBytes += pc - fn.entryPc;
         pc += cfg.interFunctionPad;
         highest = std::max(highest, pc);

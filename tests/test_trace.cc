@@ -1,19 +1,30 @@
 /**
  * @file
  * Tests for the synthetic workload generator: CFG validity, deterministic
- * construction and execution, call-stack balance, loop termination, and
- * the workload catalogue.
+ * construction and execution, call-stack balance, loop termination, the
+ * workload catalogue, a pinned digest of the catalogue streams, and
+ * skip() agreeing with next() on every instruction source.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <set>
+#include <string>
 #include <unordered_set>
+#include <vector>
 
+#include "trace/champsim.hh"
 #include "trace/executor.hh"
 #include "trace/program_builder.hh"
+#include "trace/trace_file.hh"
 #include "trace/workloads.hh"
+
+#ifndef EIP_TEST_DATA_DIR
+#define EIP_TEST_DATA_DIR "tests/data"
+#endif
 
 namespace eip::trace {
 namespace {
@@ -31,6 +42,32 @@ smallConfig(uint64_t seed = 3)
     cfg.seed = seed;
     cfg.numFunctions = 50;
     return cfg;
+}
+
+/** Fold @p value into the FNV-1a digest @p h, one byte at a time. */
+uint64_t
+fnvFold(uint64_t h, uint64_t value, int bytes)
+{
+    for (int i = 0; i < bytes; ++i) {
+        h ^= (value >> (8 * i)) & 0xff;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+/** Fold every field of @p inst into @p h. */
+uint64_t
+digestInstruction(uint64_t h, const Instruction &inst)
+{
+    h = fnvFold(h, inst.pc, 8);
+    h = fnvFold(h, inst.size, 1);
+    h = fnvFold(h, static_cast<uint64_t>(inst.branch), 1);
+    h = fnvFold(h, inst.taken, 1);
+    h = fnvFold(h, inst.target, 8);
+    h = fnvFold(h, inst.isLoad, 1);
+    h = fnvFold(h, inst.isStore, 1);
+    h = fnvFold(h, inst.isFp, 1);
+    return fnvFold(h, inst.memAddr, 8);
 }
 
 TEST(ProgramBuilder, Deterministic)
@@ -186,6 +223,45 @@ TEST(ProgramBuilder, SingleModuleLayoutIsDense)
     EXPECT_LT(prog.codeEnd - prog.codeBase, prog.footprintBytes() * 2);
 }
 
+TEST(ProgramBuilder, StaticFactsMatchBodies)
+{
+    // The executor's block-granular skip trusts these facts instead of
+    // visiting the body, and indexes its state by the site ids.
+    Program prog = buildProgram(smallConfig());
+    uint32_t next_site = 0;
+    for (const auto &fn : prog.functions) {
+        for (const auto &blk : fn.blocks) {
+            uint64_t bytes = 0, draws = 0, streams = 0;
+            for (const StaticInst &inst : blk.body) {
+                bytes += inst.size;
+                streams += inst.isStreamSite();
+                draws += inst.isMemory() &&
+                         inst.memPattern == MemPattern::Global;
+            }
+            EXPECT_EQ(blk.termPc(), blk.startPc + bytes);
+            EXPECT_EQ(blk.bodyDraws, draws);
+            EXPECT_EQ(blk.bodyStreams, streams);
+            EXPECT_EQ(blk.siteBase, next_site);
+            next_site += static_cast<uint32_t>(streams);
+            if (blk.isLoopSite() || blk.isWideDispatch()) {
+                EXPECT_EQ(blk.termSiteId(), next_site);
+                ++next_site;
+            }
+        }
+    }
+    EXPECT_EQ(prog.sites, next_site);
+}
+
+TEST(ProgramBuilderDeathTest, OverlappingModulesAreRejected)
+{
+    // Modules closer than their code size would put two instructions at
+    // one pc.
+    ProgramConfig cfg = smallConfig();
+    cfg.moduleCount = 4;
+    cfg.moduleStride = 4096;
+    EXPECT_DEATH(buildProgram(cfg), "overflows into the next");
+}
+
 TEST(Executor, CrossModuleCallsProduceWideTargets)
 {
     ProgramConfig cfg = smallConfig();
@@ -221,6 +297,132 @@ TEST(Executor, DeterministicStream)
         EXPECT_EQ(saved.taken, y.taken);
         EXPECT_EQ(saved.target, y.target);
     }
+}
+
+TEST(Executor, GoldenStreamDigest)
+{
+    // Pins the exact stream of the catalogue programs: any change to the
+    // executor or the builder that moves one field of one instruction
+    // shows up here, not only as drift in downstream figures.
+    const std::map<std::string, uint64_t> golden = {
+        {"crypto-1", 0x0a76f271bd0bbfe6ULL},
+        {"int-1", 0xb2466e0a01beabfcULL},
+        {"fp-1", 0x501dbc85cdf2a735ULL},
+        {"srv-1", 0xad11f1bcb89bf45dULL},
+        {"tiny", 0x29b6b7776584a905ULL},
+    };
+    std::vector<Workload> workloads = cvpSuite(1);
+    workloads.push_back(tinyWorkload());
+    ASSERT_EQ(workloads.size(), golden.size());
+    for (const Workload &w : workloads) {
+        Program prog = buildProgram(w.program);
+        Executor exec(prog, w.exec);
+        uint64_t h = 0xcbf29ce484222325ULL;
+        for (int i = 0; i < 2'000'000; ++i)
+            h = digestInstruction(h, exec.next());
+        ASSERT_EQ(golden.count(w.name), 1u) << w.name;
+        EXPECT_EQ(golden.at(w.name), h)
+            << w.name << " digest 0x" << std::hex << h;
+    }
+}
+
+/** Require @p a and @p b to agree on every Instruction field. */
+void
+expectSameInstruction(const Instruction &a, const Instruction &b,
+                      const std::string &where)
+{
+    EXPECT_EQ(a.pc, b.pc) << where;
+    EXPECT_EQ(a.size, b.size) << where;
+    EXPECT_EQ(a.branch, b.branch) << where;
+    EXPECT_EQ(a.taken, b.taken) << where;
+    EXPECT_EQ(a.target, b.target) << where;
+    EXPECT_EQ(a.isLoad, b.isLoad) << where;
+    EXPECT_EQ(a.isStore, b.isStore) << where;
+    EXPECT_EQ(a.isFp, b.isFp) << where;
+    EXPECT_EQ(a.memAddr, b.memAddr) << where;
+}
+
+/**
+ * Interleave skip(n) and next() on @p skipper while @p twin only calls
+ * next(), and require both streams to agree after every skip. The skips
+ * cover 0, 1, short runs that start and end inside block bodies, a span
+ * of many blocks, and 1M instructions.
+ */
+template <typename Source>
+void
+expectSkipMatchesNext(Source &skipper, Source &twin, const std::string &label)
+{
+    std::vector<uint64_t> schedule;
+    for (uint64_t i = 0; i < 64; ++i)
+        schedule.push_back(i * 7 % 19);
+    schedule.push_back(6000);
+    schedule.push_back(uint64_t{1} << 20);
+    for (uint64_t i = 0; i < 16; ++i)
+        schedule.push_back(i % 5);
+
+    for (size_t i = 0; i < schedule.size(); ++i) {
+        const uint64_t n = schedule[i];
+        skipper.skip(n);
+        for (uint64_t k = 0; k < n; ++k)
+            twin.next();
+        // A varying number of observed records moves the next skip's
+        // start to another offset inside a block.
+        for (size_t k = 0; k <= i % 4; ++k) {
+            const Instruction a = skipper.next();
+            const Instruction &b = twin.next();
+            expectSameInstruction(a, b,
+                                  label + " after skip #" + std::to_string(i) +
+                                      " (n=" + std::to_string(n) + ")");
+        }
+        if constexpr (requires { skipper.emitted(); }) {
+            ASSERT_EQ(skipper.emitted(), twin.emitted()) << label;
+        }
+        if (::testing::Test::HasFailure())
+            return;
+    }
+}
+
+TEST(Executor, SkipMatchesNext)
+{
+    std::vector<Workload> workloads = cvpSuite(1);
+    workloads.push_back(tinyWorkload());
+    // A shallow depth limit elides most calls into plain instructions.
+    Workload shallow = workloads[3];
+    shallow.name += " (maxCallDepth 2)";
+    shallow.exec.maxCallDepth = 2;
+    workloads.push_back(shallow);
+    for (const Workload &w : workloads) {
+        Program prog = buildProgram(w.program);
+        Executor skipper(prog, w.exec), twin(prog, w.exec);
+        expectSkipMatchesNext(skipper, twin, w.name);
+    }
+}
+
+TEST(TraceReplayer, SkipMatchesNext)
+{
+    const std::string path = ::testing::TempDir() + "eip_skip_equiv.trc";
+    Workload tiny = tinyWorkload();
+    Program prog = buildProgram(tiny.program);
+    Executor source(prog, tiny.exec);
+    captureTrace(path, source, 30000);
+    {
+        TraceReplayer skipper(path), twin(path);
+        expectSkipMatchesNext(skipper, twin, "trc replay");
+    }
+    std::remove(path.c_str());
+}
+
+TEST(ChampSimReplayer, SkipMatchesNext)
+{
+    if (std::system("xz --version > /dev/null 2>&1") != 0)
+        GTEST_SKIP() << "xz not available";
+    const std::string fixture =
+        std::string(EIP_TEST_DATA_DIR) + "/fixture.champsimtrace.xz";
+    ChampSimReplayer skipper(fixture), twin(fixture);
+    expectSkipMatchesNext(skipper, twin, "champsim fixture");
+    // The 1M skip crossed the end of the first pass, so the tail of the
+    // schedule exercised the in-memory reposition.
+    EXPECT_TRUE(skipper.cached());
 }
 
 TEST(Executor, PcsWithinCodeRange)
