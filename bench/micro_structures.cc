@@ -2,18 +2,20 @@
  * @file
  * google-benchmark microbenchmarks of the hardware-structure models: the
  * Entangled table, the History buffer, the destination compression, the
- * cache, and the synthetic trace executor. These guard the simulation
- * speed the figure benches depend on.
+ * cache, the BTB, and the synthetic trace executor. These guard the
+ * simulation speed the figure benches depend on.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "core/entangled_table.hh"
 #include "core/entangling.hh"
 #include "core/history_buffer.hh"
+#include "sim/branch.hh"
 #include "sim/cache.hh"
 #include "sim/dram.hh"
 #include "trace/executor.hh"
@@ -101,6 +103,30 @@ BM_CacheDemandAccess(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CacheDemandAccess);
+
+/** The front end's per-taken-branch BTB work (lookup, then update) on
+ *  the default 8K-entry, 8-way BTB. Half the stream revisits a hot set
+ *  of 2K branches, the rest spreads over 16K, so the working set
+ *  overflows the BTB and both hits and evictions are exercised. */
+void
+BM_BtbLookupUpdate(benchmark::State &state)
+{
+    sim::SimConfig cfg;
+    sim::Btb btb(cfg.btbEntries, cfg.btbWays);
+    Rng rng(6);
+    std::vector<sim::Addr> pcs(1 << 16);
+    for (sim::Addr &pc : pcs)
+        pc = 0x400000 + 4 * rng.below(rng.chance(0.5) ? 2048 : 16384);
+    size_t i = 0;
+    for (auto _ : state) {
+        sim::Addr pc = pcs[i];
+        i = (i + 1) & (pcs.size() - 1);
+        benchmark::DoNotOptimize(btb.lookup(pc));
+        btb.update(pc, pc + 64);
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_BtbLookupUpdate);
 
 /** `tiny` or a CVP catalogue workload such as `srv-1`. */
 trace::Workload

@@ -13,119 +13,55 @@
 #ifndef EIP_CORE_BB_SIZE_TABLE_HH
 #define EIP_CORE_BB_SIZE_TABLE_HH
 
+#include <algorithm>
 #include <cstdint>
-#include <vector>
 
 #include "sim/types.hh"
-#include "util/bitops.hh"
-#include "util/panic.hh"
+#include "util/set_assoc.hh"
 
 namespace eip::core {
 
-/** Set-associative {head -> basic-block size} store with FIFO replacement. */
+/** Set-associative {head -> basic-block size} store with FIFO
+ *  replacement: entries are stamped on insert and never touched. The
+ *  modelled 10-bit tag is a function of the line, so the model matches
+ *  on the full line. */
 class BbSizeTable
 {
   public:
-    BbSizeTable(uint32_t entries, uint32_t ways)
-        : numSets(entries / ways), numWays(ways),
-          setBits(floorLog2(entries / ways))
-    {
-        EIP_ASSERT(entries % ways == 0,
-                   "entries must be a multiple of ways");
-        EIP_ASSERT(isPowerOf2(numSets), "set count must be a power of two");
-        table.resize(static_cast<size_t>(numSets) * numWays);
-    }
+    BbSizeTable(uint32_t entries, uint32_t ways) : table(entries, ways) {}
 
     /** Record (or grow) the size of the block headed by @p line. */
     void
     record(sim::Addr line, unsigned size)
     {
-        Entry *e = find(line);
-        if (e == nullptr)
-            e = insert(line);
-        if (size > e->size)
-            e->size = static_cast<uint8_t>(std::min(size, 63u));
+        uint32_t set = table.foldedSet(line);
+        auto *e = table.find(set, line);
+        if (e == nullptr) {
+            e = &table.insert(set, line);
+            e->payload = 0;
+        }
+        if (size > e->payload)
+            e->payload = static_cast<uint8_t>(std::min(size, 63u));
     }
 
     /** Size of the block headed by @p line; 0 when unknown. */
     unsigned
     lookup(sim::Addr line) const
     {
-        const Entry *e = const_cast<BbSizeTable *>(this)->find(line);
-        return e != nullptr ? e->size : 0;
+        const auto *e = table.find(table.foldedSet(line), line);
+        return e != nullptr ? e->payload : 0;
     }
-
-    uint32_t entries() const { return numSets * numWays; }
 
     /** Storage: 10-bit tag + 6-bit size per entry + per-set FIFO bits. */
     uint64_t
     storageBits() const
     {
-        return static_cast<uint64_t>(numSets) * numWays * (10 + 6) +
-               static_cast<uint64_t>(numSets) * floorLog2(numWays);
+        return table.size() * (10 + 6) +
+               static_cast<uint64_t>(table.sets()) * floorLog2(table.ways());
     }
 
   private:
-    struct Entry
-    {
-        bool valid = false;
-        uint16_t tag = 0;
-        sim::Addr line = 0; ///< full line for model-level disambiguation
-        uint8_t size = 0;
-        uint64_t fifoOrder = 0;
-    };
-
-    uint32_t indexOf(sim::Addr line) const
-    {
-        return static_cast<uint32_t>(xorFold(line, setBits)) &
-               (numSets - 1);
-    }
-
-    uint16_t tagOf(sim::Addr line) const
-    {
-        return static_cast<uint16_t>(xorFold(line >> setBits, 10));
-    }
-
-    Entry *
-    find(sim::Addr line)
-    {
-        size_t base = static_cast<size_t>(indexOf(line)) * numWays;
-        uint16_t tag = tagOf(line);
-        for (uint32_t w = 0; w < numWays; ++w) {
-            Entry &e = table[base + w];
-            if (e.valid && e.tag == tag && e.line == line)
-                return &e;
-        }
-        return nullptr;
-    }
-
-    Entry *
-    insert(sim::Addr line)
-    {
-        size_t base = static_cast<size_t>(indexOf(line)) * numWays;
-        Entry *victim = &table[base];
-        for (uint32_t w = 0; w < numWays; ++w) {
-            Entry &e = table[base + w];
-            if (!e.valid) {
-                victim = &e;
-                break;
-            }
-            if (e.fifoOrder < victim->fifoOrder)
-                victim = &e;
-        }
-        victim->valid = true;
-        victim->tag = tagOf(line);
-        victim->line = line;
-        victim->size = 0;
-        victim->fifoOrder = ++fifoClock;
-        return victim;
-    }
-
-    uint32_t numSets;
-    uint32_t numWays;
-    unsigned setBits;
-    std::vector<Entry> table;
-    uint64_t fifoClock = 0;
+    util::SetAssoc<uint8_t> table; ///< head line -> block size
 };
 
 } // namespace eip::core

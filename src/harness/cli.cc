@@ -3,11 +3,11 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
-#include <sstream>
 
 #include "check/invariants.hh"
 #include "exec/jobs.hh"
 #include "harness/artifacts.hh"
+#include "obs/json.hh"
 #include "obs/log.hh"
 #include "obs/phase.hh"
 #include "obs/trace.hh"
@@ -274,25 +274,27 @@ std::string
 resultToJson(const RunResult &result)
 {
     const sim::SimStats &s = result.stats;
-    std::ostringstream out;
-    out << "{\"workload\":\"" << result.workload << "\","
-        << "\"config\":\"" << result.configName << "\","
-        << "\"storage_kb\":" << result.storageKB << ","
-        << "\"instructions\":" << s.instructions << ","
-        << "\"cycles\":" << s.cycles << ","
-        << "\"ipc\":" << s.ipc() << ","
-        << "\"l1i_mpki\":" << s.l1iMpki() << ","
-        << "\"l1i_miss_ratio\":" << s.l1i.missRatio() << ","
-        << "\"coverage\":" << s.l1i.coverage() << ","
-        << "\"accuracy\":" << s.l1i.accuracy() << ","
-        << "\"prefetches_issued\":" << s.l1i.prefetchIssued << ","
-        << "\"useful\":" << s.l1i.usefulPrefetches << ","
-        << "\"late\":" << s.l1i.latePrefetches << ","
-        << "\"wrong\":" << s.l1i.wrongPrefetches << ","
-        << "\"branch_mpki\":"
-        << (s.instructions
-                ? 1000.0 * s.branchMispredicts / s.instructions : 0.0)
-        << "}";
+    obs::JsonWriter out;
+    out.beginObject()
+        .kv("workload", result.workload)
+        .kv("config", result.configName)
+        .kv("storage_kb", result.storageKB)
+        .kv("instructions", s.instructions)
+        .kv("cycles", s.cycles)
+        .kv("ipc", s.ipc())
+        .kv("l1i_mpki", s.l1iMpki())
+        .kv("l1i_miss_ratio", s.l1i.missRatio())
+        .kv("coverage", s.l1i.coverage())
+        .kv("accuracy", s.l1i.accuracy())
+        .kv("prefetches_issued", s.l1i.prefetchIssued)
+        .kv("useful", s.l1i.usefulPrefetches)
+        .kv("late", s.l1i.latePrefetches)
+        .kv("wrong", s.l1i.wrongPrefetches)
+        .kv("branch_mpki",
+            s.instructions
+                ? 1000.0 * s.branchMispredicts / s.instructions
+                : 0.0)
+        .endObject();
     return out.str();
 }
 

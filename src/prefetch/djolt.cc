@@ -2,68 +2,25 @@
 
 #include <algorithm>
 
-#include "util/bitops.hh"
-#include "util/panic.hh"
-
 namespace eip::prefetch {
-
-DjoltPrefetcher::Table::Table(const DjoltRange &r)
-    : range(r), numSets(r.entries / r.ways)
-{
-    EIP_ASSERT(isPowerOf2(numSets), "D-JOLT set count must be a power of 2");
-    entries.resize(r.entries);
-}
-
-DjoltPrefetcher::Entry *
-DjoltPrefetcher::Table::find(uint64_t sig)
-{
-    size_t set = static_cast<size_t>(xorFold(sig, floorLog2(numSets))) &
-                 (numSets - 1);
-    size_t base = set * range.ways;
-    for (uint32_t w = 0; w < range.ways; ++w) {
-        Entry &e = entries[base + w];
-        if (e.valid && e.signature == sig)
-            return &e;
-    }
-    return nullptr;
-}
-
-DjoltPrefetcher::Entry *
-DjoltPrefetcher::Table::findOrInsert(uint64_t sig)
-{
-    if (Entry *e = find(sig)) {
-        e->lastUse = ++clock;
-        return e;
-    }
-    size_t set = static_cast<size_t>(xorFold(sig, floorLog2(numSets))) &
-                 (numSets - 1);
-    size_t base = set * range.ways;
-    Entry *victim = &entries[base];
-    for (uint32_t w = 0; w < range.ways; ++w) {
-        Entry &e = entries[base + w];
-        if (!e.valid) {
-            victim = &e;
-            break;
-        }
-        if (e.lastUse < victim->lastUse)
-            victim = &e;
-    }
-    victim->valid = true;
-    victim->signature = sig;
-    victim->lines.clear();
-    victim->lastUse = ++clock;
-    return victim;
-}
 
 void
 DjoltPrefetcher::Table::record(uint64_t sig, sim::Addr line)
 {
-    Entry *e = findOrInsert(sig);
-    if (std::find(e->lines.begin(), e->lines.end(), line) != e->lines.end())
+    uint32_t set = sigs.foldedSet(sig);
+    auto *e = sigs.find(set, sig);
+    if (e != nullptr) {
+        sigs.touch(*e);
+    } else {
+        e = &sigs.insert(set, sig);
+        e->payload.clear();
+    }
+    std::vector<sim::Addr> &lines = e->payload;
+    if (std::find(lines.begin(), lines.end(), line) != lines.end())
         return;
-    if (e->lines.size() >= range.linesPerEntry)
-        e->lines.erase(e->lines.begin());
-    e->lines.push_back(line);
+    if (lines.size() >= range.linesPerEntry)
+        lines.erase(lines.begin());
+    lines.push_back(line);
 }
 
 DjoltPrefetcher::DjoltPrefetcher(const DjoltConfig &config)
@@ -87,11 +44,11 @@ DjoltPrefetcher::storageBits() const
 void
 DjoltPrefetcher::prefetchFor(Table &table, uint64_t sig)
 {
-    Entry *e = table.find(sig);
+    auto *e = table.sigs.find(table.sigs.foldedSet(sig), sig);
     if (e == nullptr)
         return;
-    e->lastUse = ++table.clock;
-    for (sim::Addr line : e->lines)
+    table.sigs.touch(*e);
+    for (sim::Addr line : e->payload)
         owner->enqueuePrefetch(line);
 }
 

@@ -17,6 +17,7 @@
 
 #include "sim/cache.hh"
 #include "sim/prefetcher_api.hh"
+#include "util/set_assoc.hh"
 
 namespace eip::prefetch {
 
@@ -50,24 +51,15 @@ class DjoltPrefetcher : public sim::Prefetcher
                   sim::Addr target) override;
 
   private:
-    struct Entry
-    {
-        bool valid = false;
-        uint64_t signature = 0;
-        std::vector<sim::Addr> lines;
-        uint64_t lastUse = 0;
-    };
-
+    /** One range's miss table: signature -> the lines missed under it. */
     struct Table
     {
         DjoltRange range;
-        uint32_t numSets;
-        std::vector<Entry> entries;
-        uint64_t clock = 0;
+        util::SetAssoc<std::vector<sim::Addr>> sigs;
 
-        explicit Table(const DjoltRange &r);
-        Entry *find(uint64_t sig);
-        Entry *findOrInsert(uint64_t sig);
+        explicit Table(const DjoltRange &r)
+            : range(r), sigs(r.entries, r.ways)
+        {}
         void record(uint64_t sig, sim::Addr line);
     };
 

@@ -2,17 +2,14 @@
 
 #include "obs/why.hh"
 #include "util/bitops.hh"
-#include "util/panic.hh"
 
 namespace eip::prefetch {
 
 FnlMmaPrefetcher::FnlMmaPrefetcher(const FnlMmaConfig &config)
-    : cfg(config), mmaSets(config.mmaEntries / config.mmaWays)
+    : cfg(config), mma(config.mmaEntries, config.mmaWays)
 {
-    EIP_ASSERT(isPowerOf2(mmaSets), "MMA set count must be a power of 2");
     // Start weakly worth-prefetching: plain next-line until trained down.
     fnl.assign(cfg.fnlBits / 2, SaturatingCounter(2, 2));
-    mma.resize(cfg.mmaEntries);
 }
 
 uint64_t
@@ -30,50 +27,6 @@ FnlMmaPrefetcher::fnlIndex(sim::Addr line) const
 {
     return static_cast<size_t>(xorFold(line, floorLog2(fnl.size()))) %
            fnl.size();
-}
-
-FnlMmaPrefetcher::MmaEntry *
-FnlMmaPrefetcher::mmaFind(sim::Addr line)
-{
-    size_t set = static_cast<size_t>(xorFold(line, floorLog2(mmaSets))) &
-                 (mmaSets - 1);
-    size_t base = set * cfg.mmaWays;
-    for (uint32_t w = 0; w < cfg.mmaWays; ++w) {
-        MmaEntry &e = mma[base + w];
-        if (e.valid && e.line == line)
-            return &e;
-    }
-    return nullptr;
-}
-
-FnlMmaPrefetcher::MmaEntry *
-FnlMmaPrefetcher::mmaFindOrInsert(sim::Addr line)
-{
-    if (MmaEntry *e = mmaFind(line)) {
-        e->lastUse = ++clock;
-        return e;
-    }
-    size_t set = static_cast<size_t>(xorFold(line, floorLog2(mmaSets))) &
-                 (mmaSets - 1);
-    size_t base = set * cfg.mmaWays;
-    MmaEntry *victim = &mma[base];
-    for (uint32_t w = 0; w < cfg.mmaWays; ++w) {
-        MmaEntry &e = mma[base + w];
-        if (!e.valid) {
-            victim = &e;
-            break;
-        }
-        if (e.lastUse < victim->lastUse)
-            victim = &e;
-    }
-    // Miss attribution: the victim's miss-ahead prediction is lost.
-    if (ghost_ != nullptr && victim->valid && victim->ahead != 0)
-        ghost_->record(victim->ahead);
-    victim->valid = true;
-    victim->line = line;
-    victim->ahead = 0;
-    victim->lastUse = ++clock;
-    return victim;
 }
 
 void
@@ -100,8 +53,19 @@ FnlMmaPrefetcher::onCacheOperate(const sim::CacheOperateInfo &info)
         missQueue.erase(missQueue.begin());
     if (missQueue.size() == cfg.missAhead + 1) {
         // The miss `missAhead` positions ago now knows its n-th successor.
-        MmaEntry *e = mmaFindOrInsert(missQueue.front());
-        e->ahead = line;
+        sim::Addr miss = missQueue.front();
+        uint32_t set = mma.foldedSet(miss);
+        auto *e = mma.find(set, miss);
+        if (e != nullptr) {
+            mma.touch(*e);
+        } else {
+            // Miss attribution: the victim's miss-ahead prediction is lost.
+            e = &mma.insert(set, miss, [this](const auto &victim) {
+                if (ghost_ != nullptr && victim.payload != 0)
+                    ghost_->record(victim.payload);
+            });
+        }
+        e->payload = line;
         // The line is a live miss-ahead target again: un-ghost it.
         if (ghost_ != nullptr)
             ghost_->erase(line);
@@ -109,14 +73,15 @@ FnlMmaPrefetcher::onCacheOperate(const sim::CacheOperateInfo &info)
 
     sim::Addr cursor = line;
     for (uint32_t step = 0; step < cfg.chase; ++step) {
-        MmaEntry *e = mmaFind(cursor);
-        if (e == nullptr || e->ahead == 0)
+        auto *e = mma.find(mma.foldedSet(cursor), cursor);
+        if (e == nullptr || e->payload == 0)
             break;
-        owner->enqueuePrefetch(e->ahead);
+        sim::Addr ahead = e->payload;
+        owner->enqueuePrefetch(ahead);
         // Pull in the sequential neighbourhood of the predicted miss too.
-        if (fnl[fnlIndex(e->ahead + 1)].strong())
-            owner->enqueuePrefetch(e->ahead + 1);
-        cursor = e->ahead;
+        if (fnl[fnlIndex(ahead + 1)].strong())
+            owner->enqueuePrefetch(ahead + 1);
+        cursor = ahead;
     }
 }
 

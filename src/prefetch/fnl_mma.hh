@@ -19,6 +19,7 @@
 #include "sim/cache.hh"
 #include "sim/prefetcher_api.hh"
 #include "util/saturating_counter.hh"
+#include "util/set_assoc.hh"
 
 namespace eip::prefetch {
 
@@ -51,23 +52,12 @@ class FnlMmaPrefetcher : public sim::Prefetcher
     obs::MissBlame blame(sim::Addr line, sim::Addr pc) override;
 
   private:
-    struct MmaEntry
-    {
-        bool valid = false;
-        sim::Addr line = 0;   ///< miss line (tag)
-        sim::Addr ahead = 0;  ///< the miss seen `missAhead` misses later
-        uint64_t lastUse = 0;
-    };
-
     size_t fnlIndex(sim::Addr line) const;
-    MmaEntry *mmaFind(sim::Addr line);
-    MmaEntry *mmaFindOrInsert(sim::Addr line);
 
     FnlMmaConfig cfg;
     std::vector<SaturatingCounter> fnl;
-    uint32_t mmaSets;
-    std::vector<MmaEntry> mma;
-    uint64_t clock = 0;
+    /** Miss line -> the miss seen `missAhead` misses later (0: none). */
+    util::SetAssoc<sim::Addr> mma;
 
     /** Recent misses (newest at back) for miss-ahead training. */
     std::vector<sim::Addr> missQueue;

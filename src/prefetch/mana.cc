@@ -2,16 +2,12 @@
 
 #include "obs/registry.hh"
 #include "obs/why.hh"
-#include "util/panic.hh"
 
 namespace eip::prefetch {
 
 ManaPrefetcher::ManaPrefetcher(const ManaConfig &config)
-    : cfg(config), numSets(config.entries / config.ways)
-{
-    EIP_ASSERT(isPowerOf2(numSets), "MANA set count must be a power of 2");
-    table.resize(cfg.entries);
-}
+    : cfg(config), table(config.entries, config.ways)
+{}
 
 std::string
 ManaPrefetcher::name() const
@@ -40,76 +36,50 @@ ManaPrefetcher::registerStats(obs::CounterRegistry &reg)
     reg.counter("mana.chain_breaks", &stats_.chainBreaks);
 }
 
-uint32_t
-ManaPrefetcher::setIndex(sim::Addr line) const
-{
-    return static_cast<uint32_t>(xorFold(line, floorLog2(numSets))) &
-           (numSets - 1);
-}
-
 ManaPrefetcher::Entry *
 ManaPrefetcher::find(sim::Addr line)
 {
-    size_t base = static_cast<size_t>(setIndex(line)) * cfg.ways;
-    for (uint32_t w = 0; w < cfg.ways; ++w) {
-        Entry &e = table[base + w];
-        if (e.valid && e.line == line)
-            return &e;
-    }
-    return nullptr;
+    return table.find(table.foldedSet(line), line);
 }
 
 ManaPrefetcher::Entry *
 ManaPrefetcher::findOrInsert(sim::Addr line)
 {
-    if (Entry *e = find(line)) {
-        e->lastUse = ++clock;
+    uint32_t set = table.foldedSet(line);
+    if (Entry *e = table.find(set, line)) {
+        table.touch(*e);
         return e;
     }
-    size_t base = static_cast<size_t>(setIndex(line)) * cfg.ways;
-    Entry *victim = &table[base];
-    for (uint32_t w = 0; w < cfg.ways; ++w) {
-        Entry &e = table[base + w];
-        if (!e.valid) {
-            victim = &e;
-            break;
-        }
-        if (e.lastUse < victim->lastUse)
-            victim = &e;
-    }
     ++stats_.inserts;
-    if (victim->valid) {
+    Entry &e = table.insert(set, line, [this](const Entry &victim) {
         ++stats_.evictions;
         // Miss attribution: the victim's region prediction is lost.
         if (ghost_ != nullptr)
-            ghostRecordRegion(*victim);
-    }
-    *victim = Entry{};
-    victim->valid = true;
-    victim->line = line;
-    victim->lastUse = ++clock;
+            ghostRecordRegion(victim);
+    });
+    e.payload = Region{};
     if (ghost_ != nullptr)
         ghost_->erase(line);
-    return victim;
+    return &e;
 }
 
 void
 ManaPrefetcher::ghostRecordRegion(const Entry &e)
 {
-    ghost_->record(e.line);
+    ghost_->record(e.key);
     for (uint32_t i = 0; i < cfg.footprintLines; ++i) {
-        if (e.footprint & (1u << i))
-            ghost_->record(e.line + 1 + i);
+        if (e.payload.footprint & (1u << i))
+            ghost_->record(e.key + 1 + i);
     }
 }
 
 void
 ManaPrefetcher::ghostEraseRegion(const Entry &e)
 {
-    ghost_->erase(e.line);
+    ghost_->erase(e.key);
     for (uint32_t i = 0; i < cfg.footprintLines; ++i) {
-        if (e.footprint & (1u << i))
-            ghost_->erase(e.line + 1 + i);
+        if (e.payload.footprint & (1u << i))
+            ghost_->erase(e.key + 1 + i);
     }
 }
 
@@ -132,10 +102,10 @@ ManaPrefetcher::blame(sim::Addr line, sim::Addr pc)
 void
 ManaPrefetcher::prefetchRegion(const Entry &e)
 {
-    owner->enqueuePrefetch(e.line);
+    owner->enqueuePrefetch(e.key);
     for (uint32_t i = 0; i < cfg.footprintLines; ++i) {
-        if (e.footprint & (1u << i))
-            owner->enqueuePrefetch(e.line + 1 + i);
+        if (e.payload.footprint & (1u << i))
+            owner->enqueuePrefetch(e.key + 1 + i);
     }
 }
 
@@ -154,7 +124,7 @@ ManaPrefetcher::onCacheOperate(const sim::CacheOperateInfo &info)
         if (hasTrigger) {
             ++stats_.regionsCommitted;
             Entry *prev = findOrInsert(triggerLine);
-            prev->footprint |= triggerFootprint;
+            prev->payload.footprint |= triggerFootprint;
             // The committed region is predictable again: un-ghost it.
             if (ghost_ != nullptr)
                 ghostEraseRegion(*prev);
@@ -162,9 +132,9 @@ ManaPrefetcher::onCacheOperate(const sim::CacheOperateInfo &info)
             // findOrInsert may have moved prev; re-find to be safe.
             prev = find(triggerLine);
             if (prev != nullptr) {
-                prev->successor =
-                    static_cast<uint32_t>(next - table.data());
-                prev->successorValid = true;
+                prev->payload.successor =
+                    static_cast<uint32_t>(table.indexOf(*next));
+                prev->payload.successorValid = true;
             }
         }
         hasTrigger = true;
@@ -179,9 +149,10 @@ ManaPrefetcher::onCacheOperate(const sim::CacheOperateInfo &info)
     else
         ++stats_.tableMisses;
     uint32_t steps = 0;
-    while (e != nullptr && e->successorValid && steps < cfg.lookahead) {
-        Entry &succ = table[e->successor];
-        if (!succ.valid) {
+    while (e != nullptr && e->payload.successorValid &&
+           steps < cfg.lookahead) {
+        Entry &succ = table.at(e->payload.successor);
+        if (!succ.valid()) {
             ++stats_.chainBreaks;
             break;
         }

@@ -13,12 +13,11 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/entangled_table.hh"
 #include "sim/cache.hh"
 #include "sim/prefetcher_api.hh"
-#include "util/bitops.hh"
+#include "util/set_assoc.hh"
 
 namespace eip::prefetch {
 
@@ -65,17 +64,16 @@ class ManaPrefetcher : public sim::Prefetcher
     const ManaStats &analysis() const { return stats_; }
 
   private:
-    struct Entry
+    /** One trigger's spatial region and its link to the next trigger. */
+    struct Region
     {
-        bool valid = false;
-        sim::Addr line = 0;   ///< trigger line (tag)
-        uint8_t footprint = 0;///< bit i: line+1+i was accessed
+        uint8_t footprint = 0;  ///< bit i: line+1+i was accessed
         uint32_t successor = 0; ///< table position of the next trigger
         bool successorValid = false;
-        uint64_t lastUse = 0;
     };
+    using Table = util::SetAssoc<Region>;
+    using Entry = Table::Way; ///< key: the trigger line
 
-    uint32_t setIndex(sim::Addr line) const;
     Entry *find(sim::Addr line);
     Entry *findOrInsert(sim::Addr line);
     void prefetchRegion(const Entry &e);
@@ -85,9 +83,7 @@ class ManaPrefetcher : public sim::Prefetcher
     void ghostEraseRegion(const Entry &e);
 
     ManaConfig cfg;
-    uint32_t numSets;
-    std::vector<Entry> table;
-    uint64_t clock = 0;
+    Table table;
     ManaStats stats_;
     /** Miss-attribution shadow (DESIGN.md §3.11); null unless armed. */
     std::unique_ptr<core::GhostPairSet> ghost_;

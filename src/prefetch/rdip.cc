@@ -1,18 +1,14 @@
 #include "prefetch/rdip.hh"
 
-#include "util/bitops.hh"
-#include "util/panic.hh"
+#include <algorithm>
 
 namespace eip::prefetch {
 
 RdipPrefetcher::RdipPrefetcher(const RdipConfig &config)
-    : cfg(config), numSets(config.entries / config.ways)
-{
-    EIP_ASSERT(isPowerOf2(numSets), "RDIP set count must be a power of 2");
-    table.resize(cfg.entries);
-    for (auto &e : table)
-        e.triggers.resize(cfg.triggers);
-}
+    : cfg(config),
+      table(config.entries, config.ways,
+            std::vector<Trigger>(config.triggers))
+{}
 
 uint64_t
 RdipPrefetcher::storageBits() const
@@ -36,60 +32,27 @@ RdipPrefetcher::computeSignature() const
     return sig;
 }
 
-RdipPrefetcher::Entry *
-RdipPrefetcher::find(uint64_t sig)
-{
-    size_t set = static_cast<size_t>(xorFold(sig, floorLog2(numSets))) &
-                 (numSets - 1);
-    size_t base = set * cfg.ways;
-    for (uint32_t w = 0; w < cfg.ways; ++w) {
-        Entry &e = table[base + w];
-        if (e.valid && e.signature == sig)
-            return &e;
-    }
-    return nullptr;
-}
-
-RdipPrefetcher::Entry *
-RdipPrefetcher::findOrInsert(uint64_t sig)
-{
-    if (Entry *e = find(sig)) {
-        e->lastUse = ++clock;
-        return e;
-    }
-    size_t set = static_cast<size_t>(xorFold(sig, floorLog2(numSets))) &
-                 (numSets - 1);
-    size_t base = set * cfg.ways;
-    Entry *victim = &table[base];
-    for (uint32_t w = 0; w < cfg.ways; ++w) {
-        Entry &e = table[base + w];
-        if (!e.valid) {
-            victim = &e;
-            break;
-        }
-        if (e.lastUse < victim->lastUse)
-            victim = &e;
-    }
-    victim->valid = true;
-    victim->signature = sig;
-    victim->lastUse = ++clock;
-    for (auto &t : victim->triggers)
-        t = Trigger{};
-    return victim;
-}
-
 void
 RdipPrefetcher::commitMisses()
 {
     if (missLog.empty())
         return;
-    Entry *e = findOrInsert(currentSignature);
+    uint32_t set = table.foldedSet(currentSignature);
+    auto *e = table.find(set, currentSignature);
+    if (e != nullptr) {
+        table.touch(*e);
+    } else {
+        e = &table.insert(set, currentSignature);
+        for (auto &t : e->payload)
+            t = Trigger{};
+    }
+    std::vector<Trigger> &triggers = e->payload;
     for (sim::Addr miss : missLog) {
         // Attach to an existing trigger region when the miss follows it
         // closely; otherwise claim a trigger slot (round robin over the
         // least-recently written).
         bool placed = false;
-        for (auto &t : e->triggers) {
+        for (auto &t : triggers) {
             if (t.valid && miss > t.line &&
                 miss - t.line <= cfg.footprintLines) {
                 t.footprint |=
@@ -104,7 +67,7 @@ RdipPrefetcher::commitMisses()
         }
         if (placed)
             continue;
-        for (auto &t : e->triggers) {
+        for (auto &t : triggers) {
             if (!t.valid) {
                 t.valid = true;
                 t.line = miss;
@@ -115,8 +78,8 @@ RdipPrefetcher::commitMisses()
         }
         if (!placed) {
             // All trigger slots used: replace the first (oldest written).
-            e->triggers[0].line = miss;
-            e->triggers[0].footprint = 0;
+            triggers[0].line = miss;
+            triggers[0].footprint = 0;
         }
     }
     missLog.clear();
@@ -125,11 +88,11 @@ RdipPrefetcher::commitMisses()
 void
 RdipPrefetcher::prefetchFor(uint64_t sig)
 {
-    Entry *e = find(sig);
+    auto *e = table.find(table.foldedSet(sig), sig);
     if (e == nullptr)
         return;
-    e->lastUse = ++clock;
-    for (const auto &t : e->triggers) {
+    table.touch(*e);
+    for (const auto &t : e->payload) {
         if (!t.valid)
             continue;
         owner->enqueuePrefetch(t.line);

@@ -17,6 +17,7 @@
 
 #include "sim/cache.hh"
 #include "sim/prefetcher_api.hh"
+#include "util/set_assoc.hh"
 
 namespace eip::prefetch {
 
@@ -51,25 +52,14 @@ class RdipPrefetcher : public sim::Prefetcher
         uint8_t footprint = 0;
     };
 
-    struct Entry
-    {
-        bool valid = false;
-        uint64_t signature = 0;
-        std::vector<Trigger> triggers;
-        uint64_t lastUse = 0;
-    };
-
     uint64_t computeSignature() const;
-    Entry *find(uint64_t sig);
-    Entry *findOrInsert(uint64_t sig);
     /** Commit the pending miss log to the previous signature's entry. */
     void commitMisses();
     void prefetchFor(uint64_t sig);
 
     RdipConfig cfg;
-    uint32_t numSets;
-    std::vector<Entry> table;
-    uint64_t clock = 0;
+    /** Signature -> its trigger regions. */
+    util::SetAssoc<std::vector<Trigger>> table;
 
     std::vector<sim::Addr> shadowRas;
     uint64_t currentSignature = 0;

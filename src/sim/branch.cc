@@ -96,51 +96,26 @@ PerceptronPredictor::update(Addr pc, bool taken)
     history = (history << 1) | (taken ? 1 : 0);
 }
 
-Btb::Btb(uint32_t entries, uint32_t ways)
-    : numSets(entries / ways), numWays(ways)
-{
-    EIP_ASSERT(isPowerOf2(numSets), "BTB set count must be a power of 2");
-    table.resize(static_cast<size_t>(numSets) * numWays);
-}
-
 Addr
 Btb::lookup(Addr pc)
 {
-    size_t base = ((pc >> 2) & (numSets - 1)) * numWays;
-    for (uint32_t w = 0; w < numWays; ++w) {
-        Entry &e = table[base + w];
-        if (e.valid && e.pc == pc) {
-            e.lastUse = ++clock;
-            return e.target;
-        }
-    }
-    return 0;
+    auto *way = table.find(setOf(pc), pc);
+    if (way == nullptr)
+        return 0;
+    table.touch(*way);
+    return way->payload;
 }
 
 void
 Btb::update(Addr pc, Addr target)
 {
-    size_t base = ((pc >> 2) & (numSets - 1)) * numWays;
-    Entry *victim = nullptr;
-    for (uint32_t w = 0; w < numWays; ++w) {
-        Entry &e = table[base + w];
-        if (e.valid && e.pc == pc) {
-            e.target = target;
-            e.lastUse = ++clock;
-            return;
-        }
-        if (!e.valid) {
-            if (victim == nullptr || victim->valid)
-                victim = &e;
-        } else if (victim == nullptr ||
-                   (victim->valid && e.lastUse < victim->lastUse)) {
-            victim = &e;
-        }
-    }
-    victim->valid = true;
-    victim->pc = pc;
-    victim->target = target;
-    victim->lastUse = ++clock;
+    uint32_t set = setOf(pc);
+    auto *way = table.find(set, pc);
+    if (way != nullptr)
+        table.touch(*way);
+    else
+        way = &table.insert(set, pc);
+    way->payload = target;
 }
 
 IndirectTargetCache::IndirectTargetCache(uint32_t entries)

@@ -14,6 +14,7 @@
 #include "sim/types.hh"
 #include "trace/instruction.hh"
 #include "util/saturating_counter.hh"
+#include "util/set_assoc.hh"
 
 namespace eip::sim {
 
@@ -77,25 +78,20 @@ class PerceptronPredictor : public DirectionPredictor
 class Btb
 {
   public:
-    Btb(uint32_t entries, uint32_t ways);
+    Btb(uint32_t entries, uint32_t ways) : table(entries, ways) {}
 
     /** @return target of @p pc, or 0 when the BTB misses. */
     Addr lookup(Addr pc);
     void update(Addr pc, Addr target);
 
   private:
-    struct Entry
+    uint32_t
+    setOf(Addr pc) const
     {
-        bool valid = false;
-        Addr pc = 0;
-        Addr target = 0;
-        uint64_t lastUse = 0;
-    };
+        return static_cast<uint32_t>(pc >> 2) & (table.sets() - 1);
+    }
 
-    uint32_t numSets;
-    uint32_t numWays;
-    uint64_t clock = 0;
-    std::vector<Entry> table;
+    util::SetAssoc<Addr> table; ///< pc -> target
 };
 
 /** Classic return address stack; overflows wrap (oldest entries lost). */

@@ -9,9 +9,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "harness/cli.hh"
+#include "obs/json.hh"
 #include "obs/trace.hh"
 #include "obs/trace_reader.hh"
 
@@ -158,6 +160,21 @@ TEST(Cli, JsonSerializationWellFormed)
     EXPECT_NE(json.find("\"workload\":\"w\""), std::string::npos);
     // Balanced quotes.
     EXPECT_EQ(std::count(json.begin(), json.end(), '"') % 2, 0);
+
+    // Trace workloads are named by their file basename, which may hold
+    // any byte: the names must come back intact through a JSON parser.
+    r.workload = "a\"b\\c.trc";
+    r.configName = "tab\there";
+    std::string error;
+    std::optional<obs::JsonValue> doc =
+        obs::parseJson(resultToJson(r), &error);
+    ASSERT_TRUE(doc.has_value()) << error;
+    ASSERT_NE(doc->find("workload"), nullptr);
+    EXPECT_EQ(doc->find("workload")->string, r.workload);
+    EXPECT_EQ(doc->find("config")->string, r.configName);
+    EXPECT_DOUBLE_EQ(doc->find("storage_kb")->number, 1.5);
+    EXPECT_EQ(doc->find("instructions")->asU64(), 100u);
+    EXPECT_DOUBLE_EQ(doc->find("ipc")->number, 2.0);
 }
 
 TEST(Cli, RunCliRejectsBadInput)

@@ -1,11 +1,17 @@
 /**
  * @file
  * Tests for the baseline prefetchers (NextLine, SN4L, MANA, RDIP, D-JOLT,
- * FNL+MMA, the look-ahead prefetcher and oracle) and the factory.
+ * FNL+MMA, the look-ahead prefetcher and oracle), the factory, and a
+ * golden digest of their simulated results.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "core/entangling.hh"
+#include "harness/runner.hh"
+#include "obs/registry.hh"
 #include "prefetch/djolt.hh"
 #include "prefetch/factory.hh"
 #include "prefetch/fnl_mma.hh"
@@ -17,7 +23,11 @@
 #include "prefetch/sn4l.hh"
 #include "prefetch/stride.hh"
 #include "sim/cache.hh"
+#include "sim/cpu.hh"
 #include "sim/dram.hh"
+#include "trace/executor.hh"
+#include "trace/program_builder.hh"
+#include "util/hash.hh"
 
 namespace eip::prefetch {
 namespace {
@@ -387,6 +397,61 @@ TEST(Factory, StorageOrderingMatchesPaperFigure6)
     EXPECT_LT(kb("entangling-2k"), kb("entangling-4k"));
     EXPECT_LT(kb("entangling-4k"), kb("rdip"));
     EXPECT_LT(kb("rdip"), kb("entangling-8k"));
+}
+
+/** FNV-1a over every counter and histogram @p reg exports: the SimStats
+ *  fields, every cache level and the prefetcher's own counters. */
+uint64_t
+registryDigest(const obs::CounterRegistry &reg)
+{
+    obs::CounterDump dump = reg.dump();
+    uint64_t h = util::kFnvOffsetBasis;
+    for (const auto &[name, value] : dump.counters)
+        h = util::fnv1a64(name + "=" + std::to_string(value) + ";", h);
+    for (const auto &[name, hist] : dump.histograms) {
+        h = util::fnv1a64(name + ":", h);
+        for (uint64_t b : hist.buckets)
+            h = util::fnv1a64(std::to_string(b) + ",", h);
+        h = util::fnv1a64(std::to_string(hist.overflow) + ";", h);
+    }
+    return h;
+}
+
+TEST(Prefetchers, GoldenResultDigest)
+{
+    // Pins the exact simulated result of every Fig. 6 competitor, the
+    // BTB-only baseline and the split bb-size table on one short run:
+    // a change to any of their tables that moves a single counter shows
+    // up here, not only as drift in the figures.
+    const std::map<std::string, uint64_t> golden = {
+        {"none", 0xc61ba41b48aabd3aULL},
+        {"mana-2k", 0xcb5d9b79a304ed64ULL},
+        {"mana-4k", 0x7074210f9fc8121dULL},
+        {"mana-8k", 0x52dd24fc33fb0358ULL},
+        {"rdip", 0xe825a3a18934d0d9ULL},
+        {"djolt", 0x41f43c703d51eb66ULL},
+        {"fnl+mma", 0x4e9e88b2efcfc3bcULL},
+        {"entangling-split-2k", 0x53fe11c7640f02d2ULL},
+    };
+    trace::Workload w;
+    ASSERT_TRUE(harness::findWorkload("srv-1", w));
+    trace::Program prog = trace::buildProgram(w.program);
+    for (const auto &[id, want] : golden) {
+        std::unique_ptr<sim::Prefetcher> pf =
+            id == "entangling-split-2k"
+                ? std::make_unique<core::EntanglingPrefetcher>(
+                      core::EntanglingConfig::presetSplit2K())
+                : makePrefetcher(id);
+        sim::Cpu cpu{sim::SimConfig{}};
+        if (pf != nullptr)
+            cpu.attachL1iPrefetcher(pf.get());
+        obs::CounterRegistry reg;
+        cpu.registerCounters(reg);
+        trace::Executor exec(prog, w.exec);
+        cpu.run(exec, 250'000, 100'000);
+        uint64_t h = registryDigest(reg);
+        EXPECT_EQ(want, h) << id << " digest 0x" << std::hex << h;
+    }
 }
 
 } // namespace

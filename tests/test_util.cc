@@ -1,12 +1,14 @@
 /**
  * @file
  * Unit tests for the utility substrate: bit operations, saturating
- * counters, the RNG, histograms, statistics helpers and the table
- * printer.
+ * counters, the RNG, histograms, statistics helpers, the LRU map, the
+ * set-associative table (against a naive model) and the table printer.
  */
 
 #include <gtest/gtest.h>
 
+#include <list>
+#include <optional>
 #include <set>
 
 #include "util/bitops.hh"
@@ -15,6 +17,7 @@
 #include "util/lru.hh"
 #include "util/rng.hh"
 #include "util/saturating_counter.hh"
+#include "util/set_assoc.hh"
 #include "util/stats_math.hh"
 #include "util/table_printer.hh"
 
@@ -293,6 +296,177 @@ TEST(LruMap, CountsHitsAndMissesButNotClears)
     EXPECT_EQ(lru.size(), 0u);
     EXPECT_EQ(lru.evictions(), 0u); // clear() is not an eviction
     EXPECT_EQ(lru.hits(), 1u);      // history survives the clear
+}
+
+/**
+ * Naive reference model of one set of util::SetAssoc: the resident
+ * (way, key) pairs in a list ordered oldest first. An insert takes the
+ * lowest empty way, else the list's front.
+ */
+struct NaiveSet
+{
+    uint32_t ways;
+    std::list<std::pair<uint32_t, uint64_t>> order; ///< oldest first
+
+    std::optional<uint32_t>
+    find(uint64_t key) const
+    {
+        for (const auto &[way, k] : order) {
+            if (k == key)
+                return way;
+        }
+        return std::nullopt;
+    }
+
+    void
+    touch(uint32_t way)
+    {
+        for (auto it = order.begin(); it != order.end(); ++it) {
+            if (it->first == way) {
+                order.splice(order.end(), order, it);
+                return;
+            }
+        }
+    }
+
+    /** @return the way taken and the key it evicted, if any. */
+    std::pair<uint32_t, std::optional<uint64_t>>
+    insert(uint64_t key)
+    {
+        for (uint32_t way = 0; way < ways; ++way) {
+            bool used = false;
+            for (const auto &entry : order)
+                used = used || entry.first == way;
+            if (!used) {
+                order.emplace_back(way, key);
+                return {way, std::nullopt};
+            }
+        }
+        auto [way, evicted] = order.front();
+        order.pop_front();
+        order.emplace_back(way, key);
+        return {way, evicted};
+    }
+};
+
+/**
+ * Drive a SetAssoc and the naive model in lockstep through a seeded
+ * stream of probes (find only) and accesses (find, touch on a hit when
+ * @p lru, insert on a miss). Keys collide in three of the 16 sets, ten
+ * keys per set over four ways, so every step exercises replacement.
+ */
+void
+expectMatchesNaiveModel(bool lru, uint64_t seed)
+{
+    constexpr uint32_t kSets = 16, kWays = 4;
+    const uint32_t hot_sets[] = {0, 5, 15};
+    util::SetAssoc<uint64_t> table(kSets * kWays, kWays);
+    std::vector<NaiveSet> model(kSets, NaiveSet{kWays, {}});
+    Rng rng(seed);
+    uint64_t evictions = 0;
+    for (int step = 0; step < 20000; ++step) {
+        uint32_t set = hot_sets[rng.below(3)];
+        uint64_t key = set + kSets * rng.below(10);
+        std::string where = "step " + std::to_string(step);
+        auto *way = table.find(set, key);
+        std::optional<uint32_t> want = model[set].find(key);
+        ASSERT_EQ(way != nullptr, want.has_value()) << where;
+        if (way != nullptr) {
+            ASSERT_EQ(table.indexOf(*way), set * kWays + *want) << where;
+            ASSERT_EQ(way->key, key) << where;
+            ASSERT_EQ(way->payload, key * 3) << where;
+        }
+        if (rng.chance(0.25))
+            continue; // a probe: find without touch
+        if (way != nullptr) {
+            if (lru) {
+                table.touch(*way);
+                model[set].touch(*want);
+            }
+            continue;
+        }
+        std::optional<uint64_t> evicted;
+        auto &claimed = table.insert(set, key, [&](const auto &victim) {
+            evicted = victim.key;
+            EXPECT_EQ(victim.payload, victim.key * 3) << where;
+        });
+        claimed.payload = key * 3;
+        auto [want_way, want_evicted] = model[set].insert(key);
+        ASSERT_EQ(table.indexOf(claimed), set * kWays + want_way) << where;
+        ASSERT_EQ(evicted, want_evicted) << where;
+        evictions += evicted.has_value();
+    }
+    EXPECT_GT(evictions, 1000u);
+}
+
+TEST(SetAssoc, LruMatchesNaiveModel)
+{
+    for (uint64_t seed : {1, 2, 3})
+        expectMatchesNaiveModel(/*lru=*/true, seed);
+}
+
+TEST(SetAssoc, FifoMatchesNaiveModel)
+{
+    for (uint64_t seed : {1, 2, 3})
+        expectMatchesNaiveModel(/*lru=*/false, seed);
+}
+
+TEST(SetAssoc, FillsTheFirstInvalidWayInWayOrder)
+{
+    // Invalid ways all hold stamp 0, so this is also the tie rule: of
+    // equal stamps the lowest way wins. No eviction hook runs while a
+    // way is free.
+    util::SetAssoc<int> table(8 * 4, 4);
+    int hooks = 0;
+    for (uint64_t i = 0; i < 4; ++i) {
+        auto &way = table.insert(3, 100 + i, [&](const auto &) { ++hooks; });
+        EXPECT_EQ(table.indexOf(way), 3 * 4 + i);
+        EXPECT_TRUE(way.valid());
+    }
+    EXPECT_EQ(hooks, 0);
+    EXPECT_FALSE(table.at(2 * 4).valid()); // other sets untouched
+}
+
+TEST(SetAssoc, EvictsTheSmallestStampAndShowsTheVictim)
+{
+    util::SetAssoc<int> table(4, 4); // one set
+    for (uint64_t key = 0; key < 4; ++key)
+        table.insert(0, key).payload = static_cast<int>(key) + 10;
+    table.touch(*table.find(0, 0)); // key 1 is now the oldest
+
+    uint64_t seen_key = 0;
+    int seen_payload = 0;
+    auto &way = table.insert(0, 7, [&](const auto &victim) {
+        seen_key = victim.key;
+        seen_payload = victim.payload;
+    });
+    EXPECT_EQ(seen_key, 1u);
+    EXPECT_EQ(seen_payload, 11);
+    EXPECT_EQ(table.indexOf(way), 1u);
+    EXPECT_EQ(way.payload, 11) << "insert leaves the payload to the caller";
+    EXPECT_EQ(table.find(0, 1), nullptr);
+    ASSERT_NE(table.find(0, 7), nullptr);
+}
+
+TEST(SetAssoc, InitialPayloadAndFoldedSet)
+{
+    util::SetAssoc<std::vector<int>> table(64, 4, std::vector<int>(3, 9));
+    EXPECT_EQ(table.sets(), 16u);
+    EXPECT_EQ(table.ways(), 4u);
+    EXPECT_EQ(table.size(), 64u);
+    for (size_t i = 0; i < table.size(); ++i)
+        EXPECT_EQ(table.at(i).payload, std::vector<int>(3, 9));
+    Rng rng(7);
+    for (int i = 0; i < 1000; ++i) {
+        uint64_t key = rng.next();
+        EXPECT_EQ(table.foldedSet(key), xorFold(key, 4) & 15);
+    }
+}
+
+TEST(SetAssocDeathTest, RejectsANonPowerOfTwoSetCount)
+{
+    EXPECT_DEATH(util::SetAssoc<int>(12, 4), "power of 2");
+    EXPECT_DEATH(util::SetAssoc<int>(10, 4), "multiple of ways");
 }
 
 TEST(TablePrinter, AlignsColumns)
