@@ -22,7 +22,6 @@ writeCacheConfig(obs::JsonWriter &json, const sim::CacheConfig &c)
     json.kv("pq_issue_per_cycle", c.pqIssuePerCycle);
     json.kv("pf_mshr_reserve", c.pfMshrReserve);
     json.kv("ideal_hit", c.idealHit);
-    json.kv("replacement", static_cast<unsigned>(c.replacement));
     json.endObject();
 }
 
@@ -45,10 +44,7 @@ canonicalSimConfig(const sim::SimConfig &c)
     json.kv("backend_depth", c.backendDepth);
     json.kv("decode_resteer_penalty", c.decodeResteerPenalty);
     json.kv("execute_flush_penalty", c.executeFlushPenalty);
-    json.kv("predictor", static_cast<unsigned>(c.predictor));
     json.kv("gshare_bits", c.gshareBits);
-    json.kv("perceptron_rows", c.perceptronRows);
-    json.kv("perceptron_history", c.perceptronHistory);
     json.kv("btb_entries", c.btbEntries);
     json.kv("btb_ways", c.btbWays);
     json.kv("ras_entries", c.rasEntries);

@@ -292,8 +292,13 @@ Daemon::workerLoop()
             requestWallMs_.record(static_cast<size_t>(ms));
         }
 
-        if (outcome.ok && !inject_crash)
-            cache_.put(key, outcome.artifact);
+        Artifact artifact;
+        if (outcome.ok) {
+            artifact = std::make_shared<const std::string>(
+                std::move(outcome.artifact));
+            if (!inject_crash)
+                cache_.put(key, artifact);
+        }
 
         if (outcome.ok)
             simulated_.fetch_add(1);
@@ -337,7 +342,7 @@ Daemon::workerLoop()
         Job &job = jobs_[*id];
         if (outcome.ok) {
             job.state = Job::State::Done;
-            job.artifact = std::move(outcome.artifact);
+            job.artifact = std::move(artifact);
         } else {
             job.state = Job::State::Failed;
             job.error = std::move(outcome.error);
@@ -437,7 +442,7 @@ Daemon::handleSubmit(const RunRequest &run)
     // forking a worker. Fault-injected jobs never touch the cache in
     // either direction — their artifacts are garbage by design.
     if (!run.injectCrash) {
-        std::optional<std::string> artifact = cache_.get(key);
+        Artifact artifact = cache_.get(key);
         const uint64_t probe_end_us = obs::monotonicMicros();
         if (spans_ != nullptr)
             spans_->record({trace_id, "cache_lookup", submit_us,
@@ -464,7 +469,7 @@ Daemon::handleSubmit(const RunRequest &run)
                 job.submitUs = submit_us;
                 job.state = Job::State::Done;
                 job.servedFromCache = true;
-                job.artifact = std::move(*artifact);
+                job.artifact = std::move(artifact);
             }
             EIP_LOG_DEBUG("eipd", "cache_served",
                           obs::LogField("job", id),
@@ -575,7 +580,7 @@ Daemon::handleFetch(uint64_t id)
         // As a JSON *string* value: escape/unescape round-trips exactly,
         // so the client recovers the artifact byte for byte (including
         // the trailing newline every artifact file carries).
-        json.kv("artifact", job.artifact);
+        json.kv("artifact", *job.artifact);
         break;
       case Job::State::Failed:
         json.kv("error", job.error);

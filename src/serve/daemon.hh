@@ -117,7 +117,7 @@ class Daemon
             Failed,
         } state = State::Queued;
         bool servedFromCache = false;
-        std::string artifact;
+        Artifact artifact; ///< set when Done; shared with cache_
         std::string error;
     };
 

@@ -9,20 +9,20 @@ ResultCache::ResultCache(uint64_t capacity_bytes)
 {
 }
 
-std::optional<std::string>
+Artifact
 ResultCache::get(const std::string &key)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (std::string *artifact = artifacts_.get(key))
+    if (Artifact *artifact = artifacts_.get(key))
         return *artifact;
-    return std::nullopt;
+    return nullptr;
 }
 
 void
-ResultCache::put(const std::string &key, std::string artifact)
+ResultCache::put(const std::string &key, Artifact artifact)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    const uint64_t weight = artifact.size();
+    const uint64_t weight = artifact->size();
     artifacts_.put(key, std::move(artifact), weight);
 }
 

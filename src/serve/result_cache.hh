@@ -10,14 +10,17 @@
  * Capacity is bounded in artifact bytes (not entry count: one sampled
  * fig6 artifact is ~100x a tiny smoke artifact) with LRU eviction via
  * util::LruMap.
+ *
+ * Artifacts are immutable and shared: the cache, every job it answered
+ * and the job that produced the artifact hold one copy between them.
  */
 
 #ifndef EIP_SERVE_RESULT_CACHE_HH
 #define EIP_SERVE_RESULT_CACHE_HH
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 
 #include "util/lru.hh"
@@ -28,17 +31,21 @@ class CounterRegistry;
 
 namespace eip::serve {
 
+/** One rendered artifact, shared read-only. */
+using Artifact = std::shared_ptr<const std::string>;
+
 class ResultCache
 {
   public:
     explicit ResultCache(uint64_t capacity_bytes);
 
-    /** The cached artifact for @p key (refreshing its recency), if any. */
-    std::optional<std::string> get(const std::string &key);
+    /** The cached artifact for @p key (refreshing its recency), or
+     *  nullptr. */
+    Artifact get(const std::string &key);
 
-    /** Store @p artifact under @p key, evicting least-recently-served
-     *  entries once the byte budget is exceeded. */
-    void put(const std::string &key, std::string artifact);
+    /** Store @p artifact (non-null) under @p key, evicting
+     *  least-recently-served entries once the byte budget is exceeded. */
+    void put(const std::string &key, Artifact artifact);
 
     uint64_t hits() const;
     uint64_t misses() const;
@@ -56,7 +63,7 @@ class ResultCache
 
   private:
     mutable std::mutex mutex_;
-    util::LruMap<std::string, std::string> artifacts_;
+    util::LruMap<std::string, Artifact> artifacts_;
 };
 
 } // namespace eip::serve

@@ -37,65 +37,6 @@ GsharePredictor::update(Addr pc, bool taken)
     history = ((history << 1) | (taken ? 1 : 0)) & mask(indexBits);
 }
 
-PerceptronPredictor::PerceptronPredictor(unsigned rows,
-                                         unsigned history_bits)
-    : historyBits(history_bits),
-      threshold(static_cast<int>(1.93 * history_bits + 14))
-{
-    EIP_ASSERT(isPowerOf2(rows), "perceptron rows must be a power of two");
-    EIP_ASSERT(history_bits >= 1 && history_bits <= 64,
-               "perceptron history length out of range");
-    weights.assign(static_cast<size_t>(rows) * (history_bits + 1), 0);
-}
-
-size_t
-PerceptronPredictor::rowOf(Addr pc) const
-{
-    size_t rows = weights.size() / (historyBits + 1);
-    return static_cast<size_t>(xorFold(pc >> 2, floorLog2(rows))) &
-           (rows - 1);
-}
-
-int
-PerceptronPredictor::dot(Addr pc) const
-{
-    const int8_t *row = &weights[rowOf(pc) * (historyBits + 1)];
-    int sum = row[0]; // bias
-    for (unsigned i = 0; i < historyBits; ++i) {
-        bool h = (history >> i) & 1;
-        sum += h ? row[i + 1] : -row[i + 1];
-    }
-    return sum;
-}
-
-bool
-PerceptronPredictor::predict(Addr pc) const
-{
-    return dot(pc) >= 0;
-}
-
-void
-PerceptronPredictor::update(Addr pc, bool taken)
-{
-    int sum = dot(pc);
-    bool predicted = sum >= 0;
-    if (predicted != taken || (sum < threshold && sum > -threshold)) {
-        int8_t *row = &weights[rowOf(pc) * (historyBits + 1)];
-        auto adjust = [](int8_t &w, bool agree) {
-            if (agree && w < 127)
-                ++w;
-            if (!agree && w > -127)
-                --w;
-        };
-        adjust(row[0], taken);
-        for (unsigned i = 0; i < historyBits; ++i) {
-            bool h = (history >> i) & 1;
-            adjust(row[i + 1], h == taken);
-        }
-    }
-    history = (history << 1) | (taken ? 1 : 0);
-}
-
 Addr
 Btb::lookup(Addr pc)
 {

@@ -18,26 +18,16 @@
 
 namespace eip::sim {
 
-/** Interface for conditional-branch direction predictors. */
-class DirectionPredictor
-{
-  public:
-    virtual ~DirectionPredictor() = default;
-
-    /** Predicted direction of the branch at @p pc. */
-    virtual bool predict(Addr pc) const = 0;
-    /** Train with the actual outcome (also rolls the global history). */
-    virtual void update(Addr pc, bool taken) = 0;
-};
-
 /** gshare: global-history-XOR-PC indexed table of 2-bit counters. */
-class GsharePredictor : public DirectionPredictor
+class GsharePredictor
 {
   public:
     explicit GsharePredictor(unsigned index_bits);
 
-    bool predict(Addr pc) const override;
-    void update(Addr pc, bool taken) override;
+    /** Predicted direction of the branch at @p pc. */
+    bool predict(Addr pc) const;
+    /** Train with the actual outcome (also rolls the global history). */
+    void update(Addr pc, bool taken);
 
   private:
     size_t index(Addr pc) const;
@@ -45,33 +35,6 @@ class GsharePredictor : public DirectionPredictor
     unsigned indexBits;
     uint64_t history = 0;
     std::vector<SaturatingCounter> table;
-};
-
-/**
- * Hashed perceptron predictor (Jiménez-style): a PC-indexed row of signed
- * weights dotted with the global history; trained on mispredictions and
- * low-confidence correct predictions.
- */
-class PerceptronPredictor : public DirectionPredictor
-{
-  public:
-    /**
-     * @param rows Number of perceptrons (power of two).
-     * @param history_bits Global-history length (weights per perceptron).
-     */
-    PerceptronPredictor(unsigned rows, unsigned history_bits);
-
-    bool predict(Addr pc) const override;
-    void update(Addr pc, bool taken) override;
-
-  private:
-    int dot(Addr pc) const;
-    size_t rowOf(Addr pc) const;
-
-    unsigned historyBits;
-    int threshold;
-    uint64_t history = 0;
-    std::vector<int8_t> weights; ///< rows x (historyBits + 1 bias)
 };
 
 /** Set-associative branch target buffer with LRU replacement. */

@@ -5,7 +5,6 @@
 #include "check/invariants.hh"
 #include "obs/trace.hh"
 #include "obs/why.hh"
-#include "util/bitops.hh"
 #include "util/panic.hh"
 
 namespace eip::sim {
@@ -26,39 +25,12 @@ classifyMiss(CacheStats &stats, Cycle ready, Cycle now)
 
 Cache::Cache(const CacheConfig &config)
     : cfg(config), numSets(config.sets()),
+      array_(numSets * config.ways, config.ways),
       pq(std::max<uint32_t>(1, config.pqEntries))
 {
-    EIP_ASSERT(isPowerOf2(numSets), "cache set count must be a power of 2");
-    EIP_ASSERT(cfg.ways >= 1, "cache needs at least one way");
-    lines.resize(static_cast<size_t>(numSets) * cfg.ways);
-    tags_.assign(lines.size(), kNoTag);
     uint32_t mshr_count = cfg.mshrEntries == 0 ? 4096 : cfg.mshrEntries;
     mshrs.resize(mshr_count);
     drainScratch_.reserve(mshr_count);
-}
-
-Cache::Line *
-Cache::findLine(Addr line)
-{
-    size_t base = static_cast<size_t>(setIndex(line)) * cfg.ways;
-    const Addr *tags = &tags_[base];
-    for (uint32_t w = 0; w < cfg.ways; ++w) {
-        if (tags[w] == line)
-            return &lines[base + w];
-    }
-    return nullptr;
-}
-
-const Cache::Line *
-Cache::findLine(Addr line) const
-{
-    size_t base = static_cast<size_t>(setIndex(line)) * cfg.ways;
-    const Addr *tags = &tags_[base];
-    for (uint32_t w = 0; w < cfg.ways; ++w) {
-        if (tags[w] == line)
-            return &lines[base + w];
-    }
-    return nullptr;
 }
 
 Cache::Mshr *
@@ -106,113 +78,38 @@ Cache::fetchFromBelow(Addr line, Addr pc, Cycle now)
     return dram_->access(now);
 }
 
-Cache::Line *
-Cache::chooseVictim(size_t set_base)
-{
-    Line *set = &lines[set_base];
-    // Invalid ways always win (first one, as before). The tag array
-    // mirrors validity (kNoTag), so this scan reads one packed host
-    // line instead of striding through the Line structs.
-    const Addr *tags = &tags_[set_base];
-    for (uint32_t w = 0; w < cfg.ways; ++w) {
-        if (tags[w] == kNoTag)
-            return &set[w];
-    }
-    switch (cfg.replacement) {
-      case ReplacementPolicy::Lru:
-      case ReplacementPolicy::Fifo: {
-        // Same victim rule (smallest stamp); they differ in touchLine().
-        Line *victim = set;
-        for (uint32_t w = 1; w < cfg.ways; ++w) {
-            if (set[w].lastUse < victim->lastUse)
-                victim = &set[w];
-        }
-        return victim;
-      }
-      case ReplacementPolicy::Random: {
-        // xorshift64 step.
-        victimSeed ^= victimSeed << 13;
-        victimSeed ^= victimSeed >> 7;
-        victimSeed ^= victimSeed << 17;
-        return &set[victimSeed % cfg.ways];
-      }
-      case ReplacementPolicy::Srrip: {
-        // Find (ageing as needed) a line with the maximum RRPV. RRPV is
-        // 2 bits and every resident line is <= 3, so one pass can age
-        // any way to 3; more than a handful of passes means the ageing
-        // stopped converging.
-        for (int pass = 0;; ++pass) {
-            EIP_ASSERT(pass <= 4, "SRRIP ageing loop did not converge");
-            for (uint32_t w = 0; w < cfg.ways; ++w) {
-                if (set[w].rrpv >= 3)
-                    return &set[w];
-            }
-            for (uint32_t w = 0; w < cfg.ways; ++w)
-                ++set[w].rrpv;
-        }
-      }
-    }
-    return set;
-}
-
-void
-Cache::touchLine(Line &line)
-{
-    switch (cfg.replacement) {
-      case ReplacementPolicy::Lru:
-        line.lastUse = ++lruClock;
-        break;
-      case ReplacementPolicy::Fifo:
-      case ReplacementPolicy::Random:
-        break; // no promotion on hit
-      case ReplacementPolicy::Srrip:
-        line.rrpv = 0;
-        break;
-    }
-}
-
 void
 Cache::installLine(const Mshr &entry)
 {
-    size_t base = static_cast<size_t>(setIndex(entry.line)) * cfg.ways;
-    Line *victim = chooseVictim(base);
-
     CacheFillInfo info;
     info.line = entry.line;
     info.cycle = entry.ready;
     info.byPrefetch = entry.isPrefetch;
     info.demandHappened = entry.demandTouched;
 
-    if (victim->valid) {
+    auto on_evict = [&](const Array::Way &victim) {
         info.evictedValid = true;
-        info.evictedLine = victim->line;
-        if (victim->prefetched && !victim->used)
-            info.evictedUnusedPrefetch = true;
+        info.evictedLine = victim.key;
+        info.evictedUnusedPrefetch =
+            victim.payload.prefetched && !victim.payload.used;
         // Warming freezes statistics and observers; the prefetcher still
         // sees the full CacheFillInfo (learning continues, counting
         // does not).
-        if (!warming_) {
-            ++stats_.evictions;
-            if (info.evictedUnusedPrefetch) {
-                ++stats_.wrongPrefetches;
-                if (tracer_ != nullptr)
-                    tracer_->pfEvictedUnused(victim->line, entry.ready);
-            }
-            if (why_ != nullptr) {
-                why_->lineEvicted(victim->line,
-                                  victim->prefetched && !victim->used,
-                                  entry.wrongPath);
-            }
+        if (warming_)
+            return;
+        ++stats_.evictions;
+        if (info.evictedUnusedPrefetch) {
+            ++stats_.wrongPrefetches;
+            if (tracer_ != nullptr)
+                tracer_->pfEvictedUnused(victim.key, entry.ready);
         }
-    }
-
-    victim->valid = true;
-    victim->line = entry.line;
-    victim->lastUse = ++lruClock; // LRU stamp == FIFO fill stamp here
-    victim->rrpv = 2;             // SRRIP long re-reference insertion
-    victim->prefetched = entry.isPrefetch;
-    victim->used = entry.demandTouched;
-    tags_[static_cast<size_t>(victim - lines.data())] = entry.line;
+        if (why_ != nullptr) {
+            why_->lineEvicted(victim.key, info.evictedUnusedPrefetch,
+                              entry.wrongPath);
+        }
+    };
+    array_.insert(setIndex(entry.line), entry.line, on_evict).payload =
+        LineState{entry.isPrefetch, entry.demandTouched};
     if (!warming_) {
         ++stats_.fills;
         if (tracer_ != nullptr && entry.isPrefetch)
@@ -262,7 +159,7 @@ Cache::drainFills(Cycle now)
 bool
 Cache::probe(Addr line) const
 {
-    return findLine(line) != nullptr;
+    return array_.find(setIndex(line), line) != nullptr;
 }
 
 Cache::Access
@@ -278,17 +175,17 @@ Cache::demandAccess(Addr line, Addr pc, Cycle now)
     op.triggerPc = pc;
     op.cycle = now;
 
-    if (Line *hit = findLine(line)) {
+    if (Array::Way *hit = array_.find(setIndex(line), line)) {
         ++stats_.demandAccesses;
         ++stats_.demandHits;
-        touchLine(*hit);
-        if (hit->prefetched && !hit->used) {
+        array_.touch(*hit);
+        if (hit->payload.prefetched && !hit->payload.used) {
             ++stats_.usefulPrefetches;
             op.hitWasPrefetch = true;
             if (tracer_ != nullptr)
                 tracer_->pfFirstUse(line, now);
         }
-        hit->used = true;
+        hit->payload.used = true;
         if (why_ != nullptr)
             why_->demandHit(line);
         result.hit = true;
@@ -401,11 +298,11 @@ Cache::speculativeAccess(Addr line, Addr pc, Cycle now)
     op.cycle = now;
     op.speculative = true;
 
-    if (Line *hit = findLine(line)) {
+    if (Array::Way *hit = array_.find(setIndex(line), line)) {
         // Touch the replacement state as real wrong-path fetch would, but
         // leave the prefetch used-bit alone: a speculative touch is not a
         // use.
-        touchLine(*hit);
+        array_.touch(*hit);
         op.hit = true;
         if (prefetcher != nullptr)
             prefetcher->onCacheOperate(op);
@@ -451,11 +348,11 @@ Cache::warmAccess(Addr line, Addr pc, Cycle now)
     op.triggerPc = pc;
     op.cycle = now;
 
-    if (Line *hit = findLine(line)) {
-        touchLine(*hit);
-        if (hit->prefetched && !hit->used)
+    if (Array::Way *hit = array_.find(setIndex(line), line)) {
+        array_.touch(*hit);
+        if (hit->payload.prefetched && !hit->payload.used)
             op.hitWasPrefetch = true;
-        hit->used = true;
+        hit->payload.used = true;
         op.hit = true;
         if (prefetcher != nullptr)
             prefetcher->onCacheOperate(op);
@@ -522,9 +419,9 @@ Cache::warmAccess(Addr line, Addr pc, Cycle now)
     // timed path is protected by the demand MSHR allocated before its
     // hook fires). Installing a second copy would corrupt the set, so
     // adopt the prefetched copy as demand-touched instead.
-    if (Line *filled = findLine(line)) {
-        touchLine(*filled);
-        filled->used = true;
+    if (Array::Way *filled = array_.find(setIndex(line), line)) {
+        array_.touch(*filled);
+        filled->payload.used = true;
         return ready;
     }
     Mshr pseudo;
@@ -544,14 +441,15 @@ Cache::enqueuePrefetch(Addr line)
         // line with its prefetch bit set, and fire the issue/fill hooks
         // at the synthetic latency so confidence learning continues.
         // The same duplicate filters as the timed issue path apply.
-        if (findLine(line) != nullptr || findMshr(line) != nullptr)
+        if (array_.find(setIndex(line), line) != nullptr ||
+            findMshr(line) != nullptr)
             return false;
         Cycle ready = warmFetchBelow(line, /*pc=*/0, now_);
         if (prefetcher != nullptr)
             prefetcher->onPrefetchIssued(line, now_);
         // The issue hook may itself have prefetched this line through a
         // re-entrant enqueuePrefetch — never install a second copy.
-        if (findLine(line) != nullptr)
+        if (array_.find(setIndex(line), line) != nullptr)
             return true;
         Mshr pseudo;
         pseudo.line = line;
@@ -608,7 +506,7 @@ Cache::issuePrefetches(Cycle now)
     uint32_t budget = cfg.pqIssuePerCycle;
     while (budget > 0 && !pq.empty()) {
         Addr line = pq.front().line;
-        if (findLine(line) != nullptr) {
+        if (array_.find(setIndex(line), line) != nullptr) {
             ++stats_.prefetchFiltered;
             ++stats_.prefetchDropDupCached;
             if (tracer_ != nullptr)
@@ -719,7 +617,7 @@ Cache::registerInvariants(check::Invariants &inv, const std::string &prefix)
             }
         }
         for (Addr line : inflight) {
-            if (findLine(line) != nullptr) {
+            if (array_.find(setIndex(line), line) != nullptr) {
                 detail = "line " + std::to_string(line) +
                          " both resident and in flight";
                 return false;
@@ -760,30 +658,20 @@ Cache::registerInvariants(check::Invariants &inv, const std::string &prefix)
         auditSet_ = (auditSet_ + 1) % numSets;
         size_t base = static_cast<size_t>(set) * cfg.ways;
         for (uint32_t w = 0; w < cfg.ways; ++w) {
-            const Line &entry = lines[base + w];
-            // The parallel tag array must mirror the way exactly; a
-            // desync would make findLine disagree with the line array.
-            Addr expect = entry.valid ? entry.line : kNoTag;
-            if (tags_[base + w] != expect) {
-                detail = "tag array desync in set " + std::to_string(set) +
-                         " way " + std::to_string(w) + ": tag=" +
-                         std::to_string(tags_[base + w]) + " expected " +
-                         std::to_string(expect);
-                return false;
-            }
-            if (!entry.valid)
+            const Array::Way &entry = array_.at(base + w);
+            if (!entry.valid())
                 continue;
-            if (setIndex(entry.line) != set) {
-                detail = "line " + std::to_string(entry.line) +
+            if (setIndex(entry.key) != set) {
+                detail = "line " + std::to_string(entry.key) +
                          " stored in set " + std::to_string(set) +
                          " but maps to set " +
-                         std::to_string(setIndex(entry.line));
+                         std::to_string(setIndex(entry.key));
                 return false;
             }
             for (uint32_t v = w + 1; v < cfg.ways; ++v) {
-                const Line &other = lines[base + v];
-                if (other.valid && other.line == entry.line) {
-                    detail = "line " + std::to_string(entry.line) +
+                const Array::Way &other = array_.at(base + v);
+                if (other.valid() && other.key == entry.key) {
+                    detail = "line " + std::to_string(entry.key) +
                              " duplicated in set " + std::to_string(set);
                     return false;
                 }

@@ -1,9 +1,10 @@
 /**
  * @file
- * Set-associative, non-blocking cache model with MSHRs, a prefetch queue,
- * per-line prefetch/used bits and prefetcher hooks. Timing uses latency
- * propagation: each miss computes its fill cycle by asking the next level
- * (recursively down to DRAM); fills are drained lazily as time advances.
+ * Set-associative, non-blocking LRU cache model with MSHRs, a prefetch
+ * queue, per-line prefetch/used bits and prefetcher hooks. Timing uses
+ * latency propagation: each miss computes its fill cycle by asking the
+ * next level (recursively down to DRAM); fills are drained lazily as time
+ * advances.
  */
 
 #ifndef EIP_SIM_CACHE_HH
@@ -19,6 +20,7 @@
 #include "sim/stats.hh"
 #include "sim/types.hh"
 #include "util/ring.hh"
+#include "util/set_assoc.hh"
 
 namespace eip::obs {
 class EventTracer;
@@ -216,15 +218,16 @@ class Cache
                             const std::string &prefix);
 
   private:
-    struct Line
+    /** Per-line state beside the tag in the way array. */
+    struct LineState
     {
-        bool valid = false;
-        Addr line = 0;
-        uint64_t lastUse = 0;   ///< LRU stamp (doubles as FIFO fill stamp)
-        uint8_t rrpv = 3;       ///< SRRIP re-reference prediction value
         bool prefetched = false; ///< brought in by a prefetch
         bool used = false;       ///< touched by a demand access since fill
     };
+    /** The way array: LRU by touch() on every hit, the victim rule is
+     *  SetAssoc's (first invalid way, else the least recently used).
+     *  Lines are never invalidated, only replaced. */
+    using Array = util::SetAssoc<LineState>;
 
     struct Mshr
     {
@@ -245,12 +248,6 @@ class Cache
     };
 
     uint32_t setIndex(Addr line) const { return line & (numSets - 1); }
-    Line *findLine(Addr line);
-    const Line *findLine(Addr line) const;
-    /** Pick the victim way in @p set_base per the configured policy. */
-    Line *chooseVictim(size_t set_base);
-    /** Promote @p line after a demand hit per the configured policy. */
-    void touchLine(Line &line);
     Mshr *findMshr(Addr line);
     Mshr *allocMshr();
     /** Fetch @p line from the next level; returns data-ready cycle. */
@@ -268,16 +265,7 @@ class Cache
 
     CacheConfig cfg;
     uint32_t numSets;
-    std::vector<Line> lines;  ///< numSets * ways, set-major
-    /**
-     * Tag of each way, parallel to `lines` (kNoTag when invalid) — the
-     * lookup-hot fields packed one cache line per set so findLine touches
-     * one host line instead of striding through the full Line structs.
-     * Maintained solely by installLine (lines are never invalidated).
-     */
-    std::vector<Addr> tags_;
-    static constexpr Addr kNoTag = ~Addr{0}; ///< no real line address
-                                             ///< (byte >> 6) reaches this
+    Array array_; ///< numSets * ways, keyed by line address
     std::vector<Mshr> mshrs;
     util::Ring<PqEntry> pq;
     /** Fills currently in flight; every MSHR allocation increments it and
@@ -297,8 +285,6 @@ class Cache
      *  per-drain allocation is amortised away. */
     std::vector<std::pair<Cycle, uint32_t>> drainScratch_;
     uint32_t auditSet_ = 0; ///< rotating cursor of the set-array audit
-    uint64_t lruClock = 0;
-    uint64_t victimSeed = 0x9E3779B97F4A7C15ULL; ///< Random-policy state
 
     Cache *nextLevel = nullptr;
     Dram *dram_ = nullptr;

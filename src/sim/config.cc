@@ -25,14 +25,7 @@ SimConfig::describe() const
         << "/cycle, ROB " << robEntries << ", FTQ " << ftqEntries
         << ", backend depth " << backendDepth
         << (modelWrongPath ? ", wrong-path modelled" : "") << "\n"
-        << "Branch: "
-        << (predictor == Predictor::Perceptron ? "hashed perceptron "
-                                               : "gshare 2^")
-        << (predictor == Predictor::Perceptron
-                ? std::to_string(perceptronRows) + "x" +
-                      std::to_string(perceptronHistory)
-                : std::to_string(gshareBits))
-        << ", BTB " << btbEntries
+        << "Branch: gshare 2^" << gshareBits << ", BTB " << btbEntries
         << " (" << btbWays << "-way), RAS " << rasEntries << ", ITC "
         << itcEntries << ", resteer " << decodeResteerPenalty
         << ", flush " << executeFlushPenalty << "\n";

@@ -14,16 +14,7 @@
 
 namespace eip::sim {
 
-/** Cache replacement policies. */
-enum class ReplacementPolicy : uint8_t
-{
-    Lru,    ///< least recently used (default)
-    Fifo,   ///< allocation order
-    Random, ///< pseudo-random victim
-    Srrip,  ///< static re-reference interval prediction (2-bit RRPV)
-};
-
-/** Configuration of one cache level. */
+/** Configuration of one cache level (LRU replacement, as in ChampSim). */
 struct CacheConfig
 {
     std::string name = "cache";
@@ -37,7 +28,6 @@ struct CacheConfig
      *  burst of prefetches cannot block demand misses. */
     uint32_t pfMshrReserve = 2;
     bool idealHit = false;      ///< model a perfect cache (ideal prefetcher)
-    ReplacementPolicy replacement = ReplacementPolicy::Lru;
 
     uint32_t sets() const { return sizeBytes / 64 / ways; }
     uint32_t lines() const { return sizeBytes / 64; }
@@ -56,12 +46,8 @@ struct SimConfig
     uint32_t decodeResteerPenalty = 5;   ///< BTB miss, direct target fixed at decode
     uint32_t executeFlushPenalty = 14;   ///< mispredict detected at execute
 
-    // Branch prediction.
-    enum class Predictor : uint8_t { Gshare, Perceptron };
-    Predictor predictor = Predictor::Gshare;
+    // Branch prediction (gshare, as in the paper's ChampSim setup).
     uint32_t gshareBits = 16;     ///< log2 of PHT entries
-    uint32_t perceptronRows = 1024;
-    uint32_t perceptronHistory = 24;
     uint32_t btbEntries = 8192;
     uint32_t btbWays = 8;
     uint32_t rasEntries = 64;

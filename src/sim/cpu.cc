@@ -24,11 +24,7 @@ Cpu::Cpu(const SimConfig &config)
       llc_(std::make_unique<Cache>(config.llc)),
       dram_(std::make_unique<Dram>(config.dramLatency, config.dramJitter)),
       vmem(config.vmemSeed),
-      direction(config.predictor == SimConfig::Predictor::Perceptron
-          ? static_cast<DirectionPredictor *>(new PerceptronPredictor(
-                config.perceptronRows, config.perceptronHistory))
-          : static_cast<DirectionPredictor *>(
-                new GsharePredictor(config.gshareBits))),
+      direction(config.gshareBits),
       btb(config.btbEntries, config.btbWays),
       ras(config.rasEntries),
       itc(config.itcEntries),
@@ -191,8 +187,8 @@ Cpu::predictBranchImpl(const trace::Instruction &inst)
     lastPredictedPc = inst.nextPc();
     switch (inst.branch) {
       case BranchType::Conditional: {
-        bool predicted = direction->predict(inst.pc);
-        direction->update(inst.pc, inst.taken);
+        bool predicted = direction.predict(inst.pc);
+        direction.update(inst.pc, inst.taken);
         if (predicted != inst.taken) {
             if constexpr (!Warming)
                 ++stats_.branchMispredicts;

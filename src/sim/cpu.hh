@@ -246,7 +246,7 @@ class Cpu
     std::unique_ptr<Dram> dram_;
     VirtualMemory vmem;
 
-    std::unique_ptr<DirectionPredictor> direction;
+    GsharePredictor direction;
     Btb btb;
     ReturnAddressStack ras;
     IndirectTargetCache itc;

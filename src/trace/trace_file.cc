@@ -8,18 +8,10 @@ namespace eip::trace {
 
 namespace {
 
-/** On-disk record layout (little-endian, packed manually for portability). */
-struct PackedRecord
-{
-    uint64_t pc;
-    uint64_t target;
-    uint64_t memAddr;
-    uint8_t size;
-    uint8_t branch;
-    uint8_t flags; // bit0 taken, bit1 load, bit2 store, bit3 fp
-};
-
-constexpr size_t kRecordBytes = 8 + 8 + 8 + 1 + 1 + 1;
+/** On-disk record: pc, target and memAddr as little-endian u64, then
+ *  size, branch type, flags (bit0 taken, bit1 load, bit2 store, bit3 fp)
+ *  and one zero padding byte. */
+constexpr size_t kRecordBytes = 8 + 8 + 8 + 1 + 1 + 1 + 1;
 
 void
 writeU64(uint8_t *out, uint64_t v)
@@ -68,7 +60,6 @@ unpackRecord(const uint8_t *buf, Instruction &inst)
     inst.isFp = (flags & 8) != 0;
 }
 
-constexpr size_t kPackedBytes = kRecordBytes + 1; // incl. flags byte
 constexpr size_t kHeaderBytes = 8 + 4 + 4 + 8;    // magic, ver, pad, count
 
 } // namespace
@@ -95,7 +86,7 @@ void
 TraceWriter::append(const Instruction &inst)
 {
     EIP_ASSERT(file != nullptr, "append to a closed trace writer");
-    uint8_t buf[kPackedBytes];
+    uint8_t buf[kRecordBytes] = {}; // the padding byte stays zero
     packRecord(inst, buf);
     if (std::fwrite(buf, 1, sizeof(buf), file) != sizeof(buf))
         EIP_FATAL("trace record write failed");
@@ -143,7 +134,7 @@ TraceReader::TraceReader(const std::string &path, bool loop)
     EIP_ASSERT(end >= static_cast<long>(kHeaderBytes),
                "trace file shrank below its own header");
     const uint64_t actual = static_cast<uint64_t>(end) - kHeaderBytes;
-    const uint64_t expected = total * kPackedBytes;
+    const uint64_t expected = total * kRecordBytes;
     if (actual != expected) {
         const std::string msg =
             "trace file " + path + ": header promises " +
@@ -176,7 +167,7 @@ TraceReader::next(Instruction &out)
         std::fseek(file, kHeaderBytes, SEEK_SET);
         position = 0;
     }
-    uint8_t buf[kPackedBytes];
+    uint8_t buf[kRecordBytes];
     if (std::fread(buf, 1, sizeof(buf), file) != sizeof(buf)) {
         const std::string msg =
             "trace record read failed at record " + std::to_string(position) +

@@ -104,58 +104,6 @@ TEST(Ras, Peek)
     EXPECT_EQ(ras.peek(5), 0u);
 }
 
-TEST(Perceptron, LearnsStableDirection)
-{
-    PerceptronPredictor pred(256, 16);
-    Addr pc = 0x400300;
-    for (int i = 0; i < 64; ++i)
-        pred.update(pc, true);
-    EXPECT_TRUE(pred.predict(pc));
-    for (int i = 0; i < 64; ++i)
-        pred.update(pc, false);
-    EXPECT_FALSE(pred.predict(pc));
-}
-
-TEST(Perceptron, LearnsAlternatingPattern)
-{
-    PerceptronPredictor pred(256, 16);
-    Addr pc = 0x400400;
-    bool dir = false;
-    int correct = 0, total = 0;
-    for (int i = 0; i < 4000; ++i) {
-        dir = !dir;
-        bool p = pred.predict(pc);
-        if (i > 1000) {
-            ++total;
-            correct += p == dir ? 1 : 0;
-        }
-        pred.update(pc, dir);
-    }
-    EXPECT_GT(static_cast<double>(correct) / total, 0.95);
-}
-
-TEST(Perceptron, LearnsHistoryCorrelation)
-{
-    // Branch B's direction equals branch A's last outcome — linearly
-    // separable over global history, the perceptron's home turf.
-    PerceptronPredictor pred(512, 16);
-    Addr a = 0x500000, b = 0x500100;
-    uint64_t lcg = 12345;
-    int correct = 0, total = 0;
-    for (int i = 0; i < 6000; ++i) {
-        lcg = lcg * 6364136223846793005ULL + 1;
-        bool a_dir = (lcg >> 40) & 1;
-        pred.update(a, a_dir);
-        bool predicted = pred.predict(b);
-        if (i > 2000) {
-            ++total;
-            correct += predicted == a_dir ? 1 : 0;
-        }
-        pred.update(b, a_dir);
-    }
-    EXPECT_GT(static_cast<double>(correct) / total, 0.9);
-}
-
 TEST(Itc, LearnsTargetPerPathHistory)
 {
     IndirectTargetCache itc(256);

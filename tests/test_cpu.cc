@@ -192,19 +192,6 @@ TEST(Cpu, HigherMispredictPenaltyLowersIpc)
     EXPECT_GT(a.ipc(), b.ipc());
 }
 
-TEST(Cpu, PerceptronPredictorConfigurable)
-{
-    SimConfig gshare_cfg;
-    SimConfig perceptron_cfg;
-    perceptron_cfg.predictor = SimConfig::Predictor::Perceptron;
-    SimStats g = runTiny(gshare_cfg);
-    SimStats p = runTiny(perceptron_cfg);
-    EXPECT_GT(p.ipc(), 0.0);
-    // Both predictors must be in the same quality class on this workload.
-    EXPECT_LT(static_cast<double>(p.branchMispredicts),
-              static_cast<double>(g.branchMispredicts) * 1.5);
-}
-
 TEST(SimConfig, DescribeMentionsKeyParameters)
 {
     SimConfig cfg;
@@ -213,6 +200,7 @@ TEST(SimConfig, DescribeMentionsKeyParameters)
     EXPECT_NE(text.find("32KB"), std::string::npos);
     EXPECT_NE(text.find("DRAM"), std::string::npos);
     EXPECT_NE(text.find("virtual"), std::string::npos);
+    EXPECT_NE(text.find("Branch: gshare 2^16"), std::string::npos);
 }
 
 TEST(SimConfig, EnlargeL1iKeepsGeometryValid)

@@ -1,135 +1,271 @@
 /**
  * @file
- * Tests for the cache replacement policies (LRU, FIFO, Random, SRRIP).
+ * Tests for the cache's LRU replacement: sim::Cache driven in lockstep
+ * with a naive per-set LRU list over a seeded stream of demand,
+ * wrong-path and warming accesses and prefetches.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <map>
+#include <optional>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "sim/cache.hh"
-#include "sim/cpu.hh"
 #include "sim/dram.hh"
-#include "trace/workloads.hh"
+#include "util/rng.hh"
 
 namespace eip::sim {
 namespace {
 
-struct Rig
+constexpr uint32_t kSets = 16;
+constexpr uint32_t kWays = 4;
+constexpr uint32_t kMshrs = 4;
+
+/** Records the last operate verdict and every fill; with
+ *  prefetchOnMiss set it prefetches each missing line from the miss
+ *  hook itself. */
+class Recorder : public Prefetcher
 {
-    Dram dram{100, 0};
-    Cache cache;
+  public:
+    std::string name() const override { return "recorder"; }
+    uint64_t storageBits() const override { return 0; }
 
-    explicit Rig(ReplacementPolicy policy, uint32_t ways = 2)
-        : cache(makeCfg(policy, ways))
-    {
-        cache.setDram(&dram);
-    }
-
-    static CacheConfig
-    makeCfg(ReplacementPolicy policy, uint32_t ways)
-    {
-        CacheConfig cfg;
-        cfg.sizeBytes = 64 * 32 * ways; // 32 sets
-        cfg.ways = ways;
-        cfg.mshrEntries = 8;
-        cfg.replacement = policy;
-        return cfg;
-    }
-
-    /** Bring @p line into the cache and complete the fill. */
     void
-    warm(Addr line, Cycle &now)
+    onCacheOperate(const CacheOperateInfo &info) override
     {
-        cache.demandAccess(line, 0, now);
-        now += 200;
-        cache.tick(now);
+        lastHit = info.hit;
+        if (prefetchOnMiss && !info.hit)
+            owner->enqueuePrefetch(info.line);
+    }
+
+    void
+    onCacheFill(const CacheFillInfo &info) override
+    {
+        fills.push_back(info);
+    }
+
+    bool lastHit = false;
+    bool prefetchOnMiss = false;
+    std::vector<CacheFillInfo> fills;
+};
+
+/** A resident line of the reference model. */
+struct ModelLine
+{
+    Addr line;
+    bool prefetched;
+    bool used;
+};
+
+struct ModelFill
+{
+    std::optional<Addr> evicted;
+    bool evictedUnusedPrefetch = false;
+};
+
+/** One set of the reference model: most recently used first. */
+struct ModelSet
+{
+    std::list<ModelLine> lines;
+
+    std::list<ModelLine>::iterator
+    position(Addr line)
+    {
+        return std::find_if(lines.begin(), lines.end(),
+                            [&](const ModelLine &l) {
+                                return l.line == line;
+                            });
+    }
+
+    ModelLine *
+    find(Addr line)
+    {
+        auto it = position(line);
+        return it == lines.end() ? nullptr : &*it;
+    }
+
+    void
+    touch(Addr line)
+    {
+        lines.splice(lines.begin(), lines, position(line));
+    }
+
+    ModelFill
+    install(const ModelLine &incoming)
+    {
+        ModelFill fill;
+        if (lines.size() == kWays) {
+            fill.evicted = lines.back().line;
+            fill.evictedUnusedPrefetch =
+                lines.back().prefetched && !lines.back().used;
+            lines.pop_back();
+        }
+        lines.push_front(incoming);
+        return fill;
     }
 };
 
-TEST(Replacement, FifoIgnoresHits)
+enum class Op
 {
-    // Fill a set with A then B, touch A (hit), insert C: FIFO evicts A
-    // (oldest fill) even though it was touched; LRU would evict B.
+    Demand,
+    Speculative,
+    Warm,
+    /** A warming access whose miss hook prefetches the line itself: the
+     *  functional prefetch installs it and the access adopts that copy. */
+    WarmAdopt,
+    Prefetch,
+};
+
+void
+expectMatchesNaiveLruModel(uint64_t seed)
+{
+    CacheConfig cfg;
+    cfg.sizeBytes = 64 * kSets * kWays;
+    cfg.ways = kWays;
+    cfg.mshrEntries = kMshrs;
+    cfg.pqEntries = 4;
+    cfg.pqIssuePerCycle = 2;
+    Dram dram{100, 0};
+    Cache cache(cfg);
+    cache.setDram(&dram);
+    Recorder rec;
+    cache.attachPrefetcher(&rec);
+
+    // Ten lines per 4-way set, in three of the sixteen sets.
+    const uint32_t used_sets[] = {1, 6, 11};
+    std::map<uint32_t, ModelSet> model;
+    std::set<Addr> seen;
+    Rng rng(seed);
     Cycle now = 0;
-    Rig fifo(ReplacementPolicy::Fifo);
-    Addr a = 1, b = 1 + 32, c = 1 + 64;
-    fifo.warm(a, now);
-    fifo.warm(b, now);
-    fifo.cache.demandAccess(a, 0, now); // hit; no promotion under FIFO
-    fifo.warm(c, now);
-    EXPECT_FALSE(fifo.cache.probe(a));
-    EXPECT_TRUE(fifo.cache.probe(b));
+    uint64_t evictions = 0;
+    uint64_t hits = 0;
 
-    Cycle now2 = 0;
-    Rig lru(ReplacementPolicy::Lru);
-    lru.warm(a, now2);
-    lru.warm(b, now2);
-    lru.cache.demandAccess(a, 0, now2); // promotes A
-    lru.warm(c, now2);
-    EXPECT_TRUE(lru.cache.probe(a));
-    EXPECT_FALSE(lru.cache.probe(b));
-}
+    for (int step = 0; step < 3000; ++step) {
+        uint32_t set = used_sets[rng.below(3)];
+        Addr line = set + kSets * (1 + rng.below(10));
+        Op op = static_cast<Op>(rng.below(5));
+        std::string where = "seed " + std::to_string(seed) + " step " +
+                            std::to_string(step) + " line " +
+                            std::to_string(line) + " op " +
+                            std::to_string(static_cast<int>(op));
+        seen.insert(line);
+        ModelSet &mset = model[set];
+        ModelLine *resident = mset.find(line);
+        rec.fills.clear();
 
-TEST(Replacement, SrripProtectsReusedLines)
-{
-    // SRRIP: a line that has been re-referenced (rrpv 0) survives over a
-    // line inserted long-re-reference (rrpv 2).
-    Cycle now = 0;
-    Rig rig(ReplacementPolicy::Srrip);
-    Addr a = 1, b = 1 + 32, c = 1 + 64;
-    rig.warm(a, now);
-    rig.warm(b, now);
-    rig.cache.demandAccess(a, 0, now); // a.rrpv -> 0
-    rig.warm(c, now);                  // victim must be b (rrpv 2)
-    EXPECT_TRUE(rig.cache.probe(a));
-    EXPECT_FALSE(rig.cache.probe(b));
-}
+        switch (op) {
+          case Op::Demand: {
+            Cache::Access a = cache.demandAccess(line, 0x400000, now);
+            ASSERT_FALSE(a.mshrFull) << where;
+            ASSERT_EQ(a.hit, resident != nullptr) << where;
+            break;
+          }
+          case Op::Speculative:
+            cache.speculativeAccess(line, 0x400000, now);
+            ASSERT_EQ(rec.lastHit, resident != nullptr) << where;
+            break;
+          case Op::Warm:
+            cache.warmAccess(line, 0x400000, now);
+            ASSERT_EQ(rec.lastHit, resident != nullptr) << where;
+            break;
+          case Op::WarmAdopt:
+            cache.setWarming(true);
+            rec.prefetchOnMiss = true;
+            cache.warmAccess(line, 0x400000, now);
+            rec.prefetchOnMiss = false;
+            cache.setWarming(false);
+            ASSERT_EQ(rec.lastHit, resident != nullptr) << where;
+            break;
+          case Op::Prefetch:
+            ASSERT_TRUE(cache.enqueuePrefetch(line)) << where;
+            break;
+        }
+        // Tick until every fill has landed and the queue is empty.
+        for (int guard = 0;
+             cache.freeMshrs() < kMshrs || cache.pqOccupancy() > 0;
+             ++guard) {
+            ASSERT_LT(guard, 1000) << where << ": MSHRs never drained";
+            cache.tick(++now);
+        }
+        ++now;
 
-TEST(Replacement, RandomEvictsSomethingDeterministically)
-{
-    // The Random policy uses an internal deterministic generator: same
-    // sequence of operations -> same evictions.
-    auto run = [] {
-        Cycle now = 0;
-        Rig rig(ReplacementPolicy::Random, 4);
-        for (Addr i = 0; i < 12; ++i)
-            rig.warm(1 + i * 32, now);
-        std::vector<bool> present;
-        for (Addr i = 0; i < 12; ++i)
-            present.push_back(rig.cache.probe(1 + i * 32));
-        return present;
-    };
-    auto a = run();
-    auto b = run();
-    EXPECT_EQ(a, b);
-    // Exactly `ways` of the 12 same-set lines survive.
-    int alive = 0;
-    for (bool p : a)
-        alive += p ? 1 : 0;
-    EXPECT_EQ(alive, 4);
-}
+        // The model: hits move to the front (a demand or warming hit
+        // marks a prefetched line used, a wrong-path hit does not); a
+        // miss installs at the front and evicts the back of a full set.
+        // An adopted prefetch is a prefetched line, used at once.
+        std::optional<ModelFill> want;
+        bool by_prefetch = op == Op::Prefetch || op == Op::WarmAdopt;
+        if (resident != nullptr) {
+            ++hits;
+            if (op != Op::Prefetch) {
+                if (op != Op::Speculative)
+                    resident->used = true;
+                mset.touch(line);
+            }
+        } else {
+            want = mset.install(
+                ModelLine{line, by_prefetch, op != Op::Prefetch});
+        }
 
-TEST(Replacement, PoliciesRunFullSimulations)
-{
-    // End-to-end sanity: every policy on the L1I completes a simulation
-    // and stays within a plausible IPC band of LRU.
-    trace::Workload w = trace::tinyWorkload();
-    w.program.numFunctions = 300;
-
-    double lru_ipc = 0.0;
-    for (ReplacementPolicy policy :
-         {ReplacementPolicy::Lru, ReplacementPolicy::Fifo,
-          ReplacementPolicy::Random, ReplacementPolicy::Srrip}) {
-        SimConfig cfg;
-        cfg.l1i.replacement = policy;
-        trace::Program prog = trace::buildProgram(w.program);
-        trace::Executor exec(prog, w.exec);
-        Cpu cpu(cfg);
-        SimStats stats = cpu.run(exec, 100000, 50000);
-        if (policy == ReplacementPolicy::Lru)
-            lru_ipc = stats.ipc();
-        EXPECT_GT(stats.ipc(), lru_ipc * 0.7);
-        EXPECT_LT(stats.ipc(), lru_ipc * 1.3);
+        ASSERT_EQ(rec.fills.size(), want.has_value() ? 1u : 0u) << where;
+        if (want.has_value()) {
+            const CacheFillInfo &fill = rec.fills.front();
+            ASSERT_EQ(fill.line, line) << where;
+            ASSERT_EQ(fill.byPrefetch, by_prefetch) << where;
+            ASSERT_EQ(fill.evictedValid, want->evicted.has_value()) << where;
+            if (want->evicted.has_value()) {
+                ASSERT_EQ(fill.evictedLine, *want->evicted) << where;
+                ASSERT_EQ(fill.evictedUnusedPrefetch,
+                          want->evictedUnusedPrefetch)
+                    << where;
+                ++evictions;
+            }
+        }
+        for (Addr probe : seen) {
+            ASSERT_EQ(cache.probe(probe),
+                      model[probe % kSets].find(probe) != nullptr)
+                << where << ": probe " << probe;
+        }
     }
+    // The stream must exercise both outcomes and full sets.
+    EXPECT_GT(hits, 500u);
+    EXPECT_GT(evictions, 500u);
+}
+
+TEST(Replacement, CacheMatchesNaiveLruModel)
+{
+    for (uint64_t seed : {1, 2, 3})
+        expectMatchesNaiveLruModel(seed);
+}
+
+TEST(Replacement, HitPromotesTheLineOverAnOlderFill)
+{
+    // Fill a set with A then B, hit A, install C: LRU evicts B.
+    CacheConfig cfg;
+    cfg.sizeBytes = 64 * 32 * 2; // 32 sets, 2 ways
+    cfg.ways = 2;
+    Dram dram{100, 0};
+    Cache cache(cfg);
+    cache.setDram(&dram);
+    Cycle now = 0;
+    auto fill = [&](Addr line) {
+        cache.demandAccess(line, 0, now);
+        now += 200;
+        cache.tick(now);
+    };
+    Addr a = 1, b = 1 + 32, c = 1 + 64;
+    fill(a);
+    fill(b);
+    EXPECT_TRUE(cache.demandAccess(a, 0, now).hit);
+    fill(c);
+    EXPECT_TRUE(cache.probe(a));
+    EXPECT_FALSE(cache.probe(b));
+    EXPECT_TRUE(cache.probe(c));
 }
 
 } // namespace

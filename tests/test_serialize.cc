@@ -214,8 +214,11 @@ TEST(CanonicalSerialization, GoldenDigestsPinTheFormat)
               "50a8177abac59216");
     EXPECT_EQ(digest(exec::canonicalExecutorConfig(trace::ExecutorConfig{})),
               "bd21d74ba45aa9f5");
+    // Re-pinned when the replacement policy and the direction-predictor
+    // choice (replacement, predictor, perceptron_rows/history) left the
+    // canonical form: LRU and gshare are the only models.
     EXPECT_EQ(digest(harness::canonicalSimConfig(sim::SimConfig{})),
-              "f18e7181c5558662");
+              "710bb72b2ffb384a");
     // Re-pinned when the sampled-simulation fields (sample_mode/window/
     // period/seed/warm) entered the canonical form — a conscious format
     // change; every cached full-run key went cold with it.
@@ -226,7 +229,7 @@ TEST(CanonicalSerialization, GoldenDigestsPinTheFormat)
     EXPECT_EQ(harness::resultCacheKey("golden", sim::SimConfig{},
                                       harness::RunSpec{},
                                       trace::tinyWorkload()),
-              "140c8bf86f3fede6");
+              "6fc575eb16d54ade");
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 
 #include <unistd.h>
 
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -90,13 +91,17 @@ TEST(BoundedQueue, CloseWakesBlockedConsumer)
 TEST(ResultCache, HitMissAndByteWeightedEviction)
 {
     serve::ResultCache cache(100);
-    EXPECT_FALSE(cache.get("a").has_value());
-    cache.put("a", std::string(60, 'x'));
-    cache.put("b", std::string(60, 'y'));
+    EXPECT_EQ(cache.get("a"), nullptr);
+    auto b = std::make_shared<const std::string>(60, 'y');
+    cache.put("a", std::make_shared<const std::string>(60, 'x'));
+    cache.put("b", b);
     // 120 bytes > 100: "a" (least recently served) is evicted.
     EXPECT_EQ(cache.evictions(), 1u);
-    EXPECT_FALSE(cache.get("a").has_value());
-    EXPECT_EQ(cache.get("b").value(), std::string(60, 'y'));
+    EXPECT_EQ(cache.get("a"), nullptr);
+    // A hit hands out the stored copy itself, not a duplicate.
+    serve::Artifact hit = cache.get("b");
+    EXPECT_EQ(hit, b);
+    EXPECT_EQ(*hit, std::string(60, 'y'));
     EXPECT_EQ(cache.entries(), 1u);
     EXPECT_EQ(cache.bytes(), 60u);
     EXPECT_EQ(cache.hits(), 1u);
@@ -106,7 +111,7 @@ TEST(ResultCache, HitMissAndByteWeightedEviction)
 TEST(ResultCache, RegisterStatsUsesSharedEvictionVocabulary)
 {
     serve::ResultCache cache(1000);
-    cache.put("k", "artifact");
+    cache.put("k", std::make_shared<const std::string>("artifact"));
     obs::CounterRegistry registry;
     cache.registerStats(registry, "serve.cache");
     obs::CounterDump dump = registry.dump();

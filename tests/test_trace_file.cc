@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include <unistd.h>
@@ -21,6 +23,7 @@
 #include "prefetch/factory.hh"
 #include "trace/trace_file.hh"
 #include "trace/workloads.hh"
+#include "util/hash.hh"
 
 namespace eip::trace {
 namespace {
@@ -112,6 +115,28 @@ TEST_F(TraceFileTest, CaptureFromExecutor)
     EXPECT_EQ(n, 20000u);
     TraceReader reader(path, false);
     EXPECT_EQ(reader.size(), 20000u);
+}
+
+TEST_F(TraceFileTest, CaptureBytesAreDeterministic)
+{
+    // Every byte of the file is defined, record padding included: two
+    // captures of one run are identical and match the pinned digest.
+    auto capture = [&] {
+        Workload w = tinyWorkload();
+        Program prog = buildProgram(w.program);
+        Executor exec(prog, w.exec);
+        captureTrace(path, exec, 5000);
+        std::ifstream in(path, std::ios::binary);
+        return std::string(std::istreambuf_iterator<char>(in), {});
+    };
+    const std::string first = capture();
+    const std::string second = capture();
+    constexpr size_t kHeader = 24, kRecord = 28;
+    ASSERT_EQ(first.size(), kHeader + 5000 * kRecord);
+    for (size_t i = 0; i < 5000; ++i)
+        ASSERT_EQ(first[kHeader + i * kRecord + kRecord - 1], '\0') << i;
+    EXPECT_EQ(first, second);
+    EXPECT_EQ(util::fnv1a64(first), 0xa50126a2e8f27c26ULL);
 }
 
 TEST_F(TraceFileTest, ReplayMatchesLiveExecution)
