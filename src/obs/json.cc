@@ -382,13 +382,47 @@ class Parser
             v.type = JsonValue::Type::Null;
             return v;
         }
-        // Number.
-        const char *start = text.c_str() + pos;
-        char *end = nullptr;
-        double num = std::strtod(start, &end);
-        if (end == start)
+        return parseNumber();
+    }
+
+    /** RFC 8259 number: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+     *  checked here, so strtod never sees its own extensions (inf, nan,
+     *  hex); a literal too large for a double is rejected, not inf. */
+    std::optional<JsonValue>
+    parseNumber()
+    {
+        const size_t start = pos;
+        auto digits = [this] {
+            const size_t from = pos;
+            while (pos < text.size() && text[pos] >= '0' && text[pos] <= '9')
+                ++pos;
+            return pos > from;
+        };
+        auto at = [this](char c) {
+            return pos < text.size() && text[pos] == c;
+        };
+        if (at('-'))
+            ++pos;
+        if (at('0'))
+            ++pos;
+        else if (!digits())
             return fail("expected a value");
-        pos += static_cast<size_t>(end - start);
+        if (at('.')) {
+            ++pos;
+            if (!digits())
+                return fail("malformed number");
+        }
+        if (at('e') || at('E')) {
+            ++pos;
+            if (at('+') || at('-'))
+                ++pos;
+            if (!digits())
+                return fail("malformed number");
+        }
+        const double num = std::strtod(text.c_str() + start, nullptr);
+        if (!std::isfinite(num))
+            return fail("number out of range");
+        JsonValue v;
         v.type = JsonValue::Type::Number;
         v.number = num;
         return v;

@@ -92,7 +92,19 @@ struct JsonValue
     /** Object member by key, or nullptr. */
     const JsonValue *find(const std::string &name) const;
     bool isNumber() const { return type == Type::Number; }
-    uint64_t asU64() const { return static_cast<uint64_t>(number); }
+
+    /** The number as a counter, defined for every double: negatives
+     *  (and NaN) give 0, values at or past 2^64 give UINT64_MAX, the
+     *  rest truncate toward zero. */
+    uint64_t
+    asU64() const
+    {
+        if (!(number > 0.0))
+            return 0;
+        if (number >= 0x1p64)
+            return UINT64_MAX;
+        return static_cast<uint64_t>(number);
+    }
 };
 
 /**

@@ -1,10 +1,12 @@
 #include "serve/daemon.hh"
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <utility>
 
 #include "exec/program_cache.hh"
@@ -134,7 +136,7 @@ Daemon::start(std::string *error)
     if (listenFd_ < 0)
         return false;
     started_ = true;
-    acceptThread_ = std::thread([this] { acceptLoop(); });
+    ioThread_ = std::thread([this] { ioLoop(); });
     workerThreads_.reserve(options_.workers);
     for (unsigned i = 0; i < options_.workers; ++i)
         workerThreads_.emplace_back([this] { workerLoop(); });
@@ -174,22 +176,13 @@ Daemon::stop()
     stopped_ = true;
     requestStop();
 
-    // Retire the accept loop: shutdown() (not just close) is what
-    // reliably wakes a thread blocked in accept() on Linux.
+    // Retire the I/O loop: shutdown() of the listening socket wakes its
+    // poll() with POLLHUP, and the loop closes every connection on the
+    // way out.
     ::shutdown(listenFd_, SHUT_RDWR);
-    acceptThread_.join();
+    ioThread_.join();
     ::close(listenFd_);
     listenFd_ = -1;
-
-    // Hang up on live connections and collect their threads. No new
-    // threads can appear once the accept loop is gone.
-    {
-        std::lock_guard<std::mutex> lock(connMutex_);
-        for (int fd : connFds_)
-            ::shutdown(fd, SHUT_RDWR);
-    }
-    for (std::thread &thread : connThreads_)
-        thread.join();
 
     // Drain the backlog through the workers, then retire them: close()
     // makes pop() return empty only once the queue is dry, so every
@@ -207,54 +200,123 @@ Daemon::stop()
 }
 
 void
-Daemon::acceptLoop()
+Daemon::ioLoop()
 {
+    std::vector<Connection> conns;
+    std::vector<pollfd> fds;
     for (;;) {
-        int fd = ::accept(listenFd_, nullptr, nullptr);
-        if (fd < 0) {
+        // Slot 0 is the listener; slot i + 1 is conns[i]. A connection
+        // waits to read only while it owes no response, so responses
+        // leave in request order and one slow reader stalls only itself.
+        fds.assign(1, pollfd{listenFd_, POLLIN, 0});
+        for (const Connection &conn : conns)
+            fds.push_back(pollfd{conn.fd,
+                                 static_cast<short>(conn.outbox.empty()
+                                                        ? POLLIN
+                                                        : POLLOUT),
+                                 0});
+        if (::poll(fds.data(), fds.size(), -1) < 0) {
             if (errno == EINTR)
                 continue;
-            return; // listen socket shut down: we are stopping
+            EIP_LOG_ERROR("eipd", "poll_failed",
+                          obs::LogField("error", std::strerror(errno)));
+            break;
         }
-        std::lock_guard<std::mutex> lock(connMutex_);
-        connFds_.push_back(fd);
-        connThreads_.emplace_back([this, fd] { serveConnection(fd); });
+        // stop() shut the listener down: we are stopping.
+        if (fds[0].revents & (POLLHUP | POLLERR | POLLNVAL))
+            break;
+
+        size_t kept = 0;
+        for (size_t i = 0; i < conns.size(); ++i) {
+            const short revents = fds[i + 1].revents;
+            if (revents & POLLNVAL ||
+                !pump(conns[i], revents & (POLLIN | POLLHUP | POLLERR))) {
+                ::close(conns[i].fd);
+                continue;
+            }
+            if (kept != i)
+                conns[kept] = std::move(conns[i]);
+            ++kept;
+        }
+        conns.resize(kept);
+
+        if (fds[0].revents & POLLIN) {
+            int fd = ::accept4(listenFd_, nullptr, nullptr,
+                               SOCK_NONBLOCK | SOCK_CLOEXEC);
+            if (fd >= 0) {
+                conns.emplace_back();
+                conns.back().fd = fd;
+            }
+        }
+    }
+    for (const Connection &conn : conns)
+        ::close(conn.fd);
+}
+
+bool
+Daemon::pump(Connection &conn, bool readable)
+{
+    for (;;) {
+        if (!conn.outbox.empty()) {
+            ssize_t n = ::send(conn.fd, conn.outbox.data(),
+                               conn.outbox.size(), MSG_NOSIGNAL);
+            if (n < 0)
+                return errno == EAGAIN || errno == EWOULDBLOCK ||
+                       errno == EINTR;
+            conn.outbox.erase(0, static_cast<size_t>(n));
+            if (!conn.outbox.empty())
+                continue;
+            if (conn.closing)
+                return false;
+        }
+        std::string line;
+        if (takeLine(conn.inbox, line)) {
+            conn.outbox = respond(line, conn.closing) + '\n';
+            continue;
+        }
+        // The buffer holds at most the cap plus one read, because the
+        // check runs after every read.
+        if (conn.inbox.size() > kMaxRequestBytes) {
+            requests_.fetch_add(1);
+            invalid_.fetch_add(1);
+            conn.inbox.clear();
+            const std::string error = "request line exceeds " +
+                                      std::to_string(kMaxRequestBytes) +
+                                      " bytes";
+            conn.outbox = invalidResponse(Request::Op::Stats, error) + '\n';
+            conn.closing = true;
+            continue;
+        }
+        // One read per wake-up keeps a chatty client from starving the
+        // rest; poll() reports whatever it left unread next round.
+        if (!readable)
+            return true;
+        readable = false;
+        char chunk[65536];
+        ssize_t n = ::recv(conn.fd, chunk, sizeof(chunk), 0);
+        if (n == 0)
+            return false; // hung up; a half-written request is not one
+        if (n < 0)
+            return errno == EAGAIN || errno == EWOULDBLOCK ||
+                   errno == EINTR;
+        conn.inbox.append(chunk, static_cast<size_t>(n));
     }
 }
 
-void
-Daemon::serveConnection(int fd)
+std::string
+Daemon::respond(const std::string &line, bool &close_after)
 {
-    LineReader reader(fd);
-    std::string line;
-    while (reader.readLine(line)) {
-        requests_.fetch_add(1);
-        Request request;
-        std::string parse_error;
-        std::string response;
-        bool is_shutdown = false;
-        if (!parseRequest(line, request, parse_error)) {
-            invalid_.fetch_add(1);
-            // The op could not be parsed; answer under the envelope's
-            // least-specific op so the client still gets a line back.
-            response = invalidResponse(Request::Op::Stats, parse_error);
-        } else {
-            is_shutdown = request.op == Request::Op::Shutdown;
-            response = dispatch(request);
-        }
-        if (!sendLine(fd, response))
-            break;
-        if (is_shutdown)
-            break;
+    requests_.fetch_add(1);
+    Request request;
+    std::string parse_error;
+    if (!parseRequest(line, request, parse_error)) {
+        invalid_.fetch_add(1);
+        // The op could not be parsed; answer under the envelope's
+        // least-specific op so the client still gets a line back.
+        return invalidResponse(Request::Op::Stats, parse_error);
     }
-    ::close(fd);
-    std::lock_guard<std::mutex> lock(connMutex_);
-    for (size_t i = 0; i < connFds_.size(); ++i) {
-        if (connFds_[i] == fd) {
-            connFds_.erase(connFds_.begin() + i);
-            break;
-        }
-    }
+    close_after = request.op == Request::Op::Shutdown;
+    return dispatch(request);
 }
 
 void
@@ -339,7 +401,9 @@ Daemon::workerLoop()
         }
 
         std::lock_guard<std::mutex> lock(jobsMutex_);
-        Job &job = jobs_[*id];
+        auto it = jobs_.find(*id);
+        EIP_ASSERT(it != jobs_.end(), "a live job left the job table");
+        Job &job = it->second;
         if (outcome.ok) {
             job.state = Job::State::Done;
             job.artifact = std::move(artifact);
@@ -378,9 +442,8 @@ Daemon::dispatch(const Request &request)
       case Request::Op::Submit:
         return handleSubmit(request.run);
       case Request::Op::Status:
-        return handleStatus(request.job);
       case Request::Op::Fetch:
-        return handleFetch(request.job);
+        return handleJob(request.op, request.job);
       case Request::Op::Stats:
         return statsJson();
       case Request::Op::Metrics:
@@ -459,18 +522,14 @@ Daemon::handleSubmit(const RunRequest &run)
             if (spans_ != nullptr)
                 spans_->record({trace_id, "request", submit_us,
                                 probe_end_us - submit_us, "cache"});
-            uint64_t id;
-            {
-                std::lock_guard<std::mutex> lock(jobsMutex_);
-                id = nextJobId_++;
-                Job &job = jobs_[id];
-                job.key = key;
-                job.traceId = trace_id;
-                job.submitUs = submit_us;
-                job.state = Job::State::Done;
-                job.servedFromCache = true;
-                job.artifact = std::move(artifact);
-            }
+            Job job;
+            job.key = key;
+            job.traceId = trace_id;
+            job.submitUs = submit_us;
+            job.state = Job::State::Done;
+            job.servedFromCache = true;
+            job.artifact = std::move(artifact);
+            const uint64_t id = addJob(std::move(job));
             EIP_LOG_DEBUG("eipd", "cache_served",
                           obs::LogField("job", id),
                           obs::LogField("key", key),
@@ -486,21 +545,17 @@ Daemon::handleSubmit(const RunRequest &run)
         }
     }
 
-    uint64_t id;
-    {
-        std::lock_guard<std::mutex> lock(jobsMutex_);
-        id = nextJobId_++;
-        Job &job = jobs_[id];
-        job.run.workload = workload;
-        job.run.spec = spec;
-        job.key = key;
-        job.injectCrash = run.injectCrash;
-        job.traceId = trace_id;
-        job.submitUs = submit_us;
-        // Stamped before tryPush: a worker may pop the id the moment
-        // the push lands, so the job record must already be complete.
-        job.enqueueUs = obs::monotonicMicros();
-    }
+    Job job;
+    job.run.workload = workload;
+    job.run.spec = spec;
+    job.key = key;
+    job.injectCrash = run.injectCrash;
+    job.traceId = trace_id;
+    job.submitUs = submit_us;
+    // Stamped before tryPush: a worker may pop the id the moment the
+    // push lands, so the job record must already be complete.
+    job.enqueueUs = obs::monotonicMicros();
+    const uint64_t id = addJob(std::move(job));
     if (!queue_.tryPush(id)) {
         {
             std::lock_guard<std::mutex> lock(jobsMutex_);
@@ -538,58 +593,53 @@ Daemon::handleSubmit(const RunRequest &run)
     return json.str();
 }
 
-std::string
-Daemon::handleStatus(uint64_t id)
+uint64_t
+Daemon::addJob(Job job)
 {
     std::lock_guard<std::mutex> lock(jobsMutex_);
-    auto it = jobs_.find(id);
-    if (it == jobs_.end()) {
-        invalid_.fetch_add(1);
-        return invalidResponse(Request::Op::Status,
-                               "unknown job " + std::to_string(id));
+    const uint64_t id = nextJobId_++;
+    jobs_.emplace(id, std::move(job));
+    // Live jobs are bounded by the queue and the workers, so the scan
+    // past them to the oldest finished job is short.
+    for (auto it = jobs_.begin();
+         jobs_.size() > kFinishedJobCap && it != jobs_.end();) {
+        if (it->second.finished())
+            it = jobs_.erase(it);
+        else
+            ++it;
     }
-    const Job &job = it->second;
-    obs::JsonWriter json = responseHead(Request::Op::Status, "ok");
-    json.kv("job", id);
-    json.kv("state", stateName(job.state));
-    json.kv("served_from_cache", job.servedFromCache);
-    if (job.state == Job::State::Failed)
-        json.kv("error", job.error);
-    json.endObject();
-    return json.str();
+    return id;
 }
 
 std::string
-Daemon::handleFetch(uint64_t id)
+Daemon::handleJob(Request::Op op, uint64_t id)
 {
     std::lock_guard<std::mutex> lock(jobsMutex_);
     auto it = jobs_.find(id);
     if (it == jobs_.end()) {
         invalid_.fetch_add(1);
-        return invalidResponse(Request::Op::Fetch,
-                               "unknown job " + std::to_string(id));
+        return invalidResponse(op, "unknown job " + std::to_string(id));
     }
     const Job &job = it->second;
-    obs::JsonWriter json = responseHead(Request::Op::Fetch, "ok");
+    const bool fetch = op == Request::Op::Fetch;
+    obs::JsonWriter json = responseHead(op, "ok");
     json.kv("job", id);
     json.kv("state", stateName(job.state));
     json.kv("served_from_cache", job.servedFromCache);
-    switch (job.state) {
-      case Job::State::Done:
+    if (fetch && job.state == Job::State::Done) {
         json.kv("key", job.key);
         // As a JSON *string* value: escape/unescape round-trips exactly,
         // so the client recovers the artifact byte for byte (including
         // the trailing newline every artifact file carries).
         json.kv("artifact", *job.artifact);
-        break;
-      case Job::State::Failed:
-        json.kv("error", job.error);
-        break;
-      case Job::State::Queued:
-      case Job::State::Running:
-        break;
     }
+    if (job.state == Job::State::Failed)
+        json.kv("error", job.error);
     json.endObject();
+    // A finished job is redeemed by its fetch: the artifact lives on in
+    // the result cache, where a resubmit finds it.
+    if (fetch && job.finished())
+        jobs_.erase(it);
     return json.str();
 }
 

@@ -1,19 +1,24 @@
 /**
  * @file
  * The eipd job server: simulation as a service over a local Unix-domain
- * socket. One accept thread spawns a thread per connection; parsed
- * submit requests pass through a bounded admission queue (full queue =
- * explicit "rejected" response, the client's cue to back off) to a
- * small pool of dispatcher threads, each of which forks the actual
+ * socket. One I/O thread polls the listening socket and every
+ * connection (non-blocking sockets, one buffered response per
+ * connection, so a client that stops reading stalls only itself);
+ * parsed submit requests pass through a bounded admission queue (full
+ * queue = explicit "rejected" response, the client's cue to back off)
+ * to a small pool of dispatcher threads, each of which forks the actual
  * simulation into a throwaway child process (src/serve/worker.hh) so a
  * crashing run can never take the daemon down.
  *
  * Completed artifacts land in a content-addressed ResultCache keyed by
  * harness::resultCacheKey; a resubmitted request is answered from the
- * cache without forking, byte-identical to the cold run. Everything the
- * daemon does is observable: cache, queue and failure counters live in
- * an obs::CounterRegistry served by the "stats" op as one eip-serve/v1
- * document.
+ * cache without forking, byte-identical to the cold run. The job table
+ * stays bounded: a fetch that returns a finished job redeems it (later
+ * status/fetch of that id answer "unknown job"; resubmit to hit the
+ * cache), and finished jobs nobody fetches are dropped oldest-first
+ * past kFinishedJobCap. Everything the daemon does is observable:
+ * cache, queue and failure counters live in an obs::CounterRegistry
+ * served by the "stats" op as one eip-serve/v1 document.
  */
 
 #ifndef EIP_SERVE_DAEMON_HH
@@ -22,11 +27,11 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "harness/runner.hh"
@@ -59,13 +64,22 @@ struct DaemonOptions
 class Daemon
 {
   public:
+    /** Finished jobs kept for a later fetch before the oldest unfetched
+     *  one is dropped (its artifact stays in the result cache). */
+    static constexpr size_t kFinishedJobCap = 1024;
+
+    /** Longest request line the daemon buffers; a connection that sends
+     *  more without a newline gets an invalid response and is closed.
+     *  Real requests are well under 1 KB. */
+    static constexpr size_t kMaxRequestBytes = 1u << 20;
+
     explicit Daemon(DaemonOptions options);
     ~Daemon();
 
     Daemon(const Daemon &) = delete;
     Daemon &operator=(const Daemon &) = delete;
 
-    /** Bind the socket and start the accept/worker threads. False with
+    /** Bind the socket and start the I/O and worker threads. False with
      *  a diagnostic on socket errors (path too long, bind refused). */
     bool start(std::string *error);
 
@@ -76,9 +90,9 @@ class Daemon
     /** Block until requestStop() — the owning thread's idle wait. */
     void waitStopRequested();
 
-    /** Full teardown: retire the accept loop, hang up connections,
-     *  drain queued jobs through the workers, join everything, unlink
-     *  the socket. Idempotent. */
+    /** Full teardown: retire the I/O loop (which closes every
+     *  connection), drain queued jobs through the workers, join
+     *  everything, unlink the socket. Idempotent. */
     void stop();
 
     const DaemonOptions &options() const { return options_; }
@@ -119,18 +133,39 @@ class Daemon
         bool servedFromCache = false;
         Artifact artifact; ///< set when Done; shared with cache_
         std::string error;
+
+        bool
+        finished() const
+        {
+            return state == State::Done || state == State::Failed;
+        }
+    };
+
+    /** One client socket as the I/O loop sees it. */
+    struct Connection
+    {
+        int fd = -1;
+        std::string inbox;  ///< received bytes not yet framed
+        std::string outbox; ///< the pending response (read stops while set)
+        bool closing = false; ///< hang up once the outbox drains
     };
 
     static const char *stateName(Job::State state);
 
-    void acceptLoop();
-    void serveConnection(int fd);
+    void ioLoop();
+    bool pump(Connection &conn, bool readable);
     void workerLoop();
 
+    /** Record @p job under the next id and drop the oldest finished
+     *  jobs past kFinishedJobCap. Returns the id. */
+    uint64_t addJob(Job job);
+
+    std::string respond(const std::string &line, bool &close_after);
     std::string dispatch(const Request &request);
     std::string handleSubmit(const RunRequest &run);
-    std::string handleStatus(uint64_t id);
-    std::string handleFetch(uint64_t id);
+    /** The status or fetch response for job @p id; a fetch of a
+     *  finished job erases it. */
+    std::string handleJob(Request::Op op, uint64_t id);
     std::string invalidResponse(Request::Op op, const std::string &error);
 
     DaemonOptions options_;
@@ -140,11 +175,8 @@ class Daemon
     bool started_ = false;
     bool stopped_ = false;
 
-    std::thread acceptThread_;
+    std::thread ioThread_;
     std::vector<std::thread> workerThreads_;
-    std::mutex connMutex_;
-    std::vector<std::thread> connThreads_;
-    std::vector<int> connFds_; ///< live connection fds (for hangup)
 
     std::mutex stopMutex_;
     std::condition_variable stopCv_;
@@ -154,7 +186,8 @@ class Daemon
     ResultCache cache_;
 
     std::mutex jobsMutex_;
-    std::unordered_map<uint64_t, Job> jobs_;
+    /** Keyed by the monotonic job id, so begin() is the oldest. */
+    std::map<uint64_t, Job> jobs_;
     uint64_t nextJobId_ = 1;
 
     std::atomic<uint64_t> requests_{0};

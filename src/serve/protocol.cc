@@ -8,7 +8,8 @@ namespace eip::serve {
 namespace {
 
 /** Fetch an object member as an unsigned integer; false (with a
- *  diagnostic) on wrong types, negatives, or non-integral values. */
+ *  diagnostic) on wrong types, negatives, values past 2^64 - 1, or
+ *  non-integral values. */
 bool
 readU64(const obs::JsonValue &object, const std::string &name, uint64_t &out,
         std::string &error)
@@ -17,6 +18,7 @@ readU64(const obs::JsonValue &object, const std::string &name, uint64_t &out,
     if (!member)
         return true; // optional; keep the default
     if (!member->isNumber() || member->number < 0 ||
+        member->number >= 0x1p64 ||
         member->number != static_cast<double>(member->asU64())) {
         error = "field '" + name + "' must be a non-negative integer";
         return false;

@@ -111,15 +111,20 @@ sendLine(int fd, const std::string &line)
 }
 
 bool
+takeLine(std::string &buffer, std::string &out)
+{
+    size_t newline = buffer.find('\n');
+    if (newline == std::string::npos)
+        return false;
+    out.assign(buffer, 0, newline);
+    buffer.erase(0, newline + 1);
+    return true;
+}
+
+bool
 LineReader::readLine(std::string &out)
 {
-    for (;;) {
-        size_t newline = buffer_.find('\n');
-        if (newline != std::string::npos) {
-            out.assign(buffer_, 0, newline);
-            buffer_.erase(0, newline + 1);
-            return true;
-        }
+    while (!takeLine(buffer_, out)) {
         char chunk[4096];
         ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
         if (n < 0) {
@@ -131,6 +136,7 @@ LineReader::readLine(std::string &out)
             return false;
         buffer_.append(chunk, static_cast<size_t>(n));
     }
+    return true;
 }
 
 } // namespace eip::serve

@@ -26,7 +26,13 @@ int connectUnix(const std::string &path, std::string *error);
  *  writes. False when the peer is gone. */
 bool sendLine(int fd, const std::string &line);
 
-/** Buffered reader turning a stream socket back into protocol lines. */
+/** The one NDJSON framing rule: move the first newline-terminated line
+ *  of @p buffer (newline stripped) into @p out and drop it from the
+ *  buffer. False when no complete line is buffered yet. */
+bool takeLine(std::string &buffer, std::string &out);
+
+/** Buffered blocking reader turning a stream socket back into protocol
+ *  lines (the client side; the daemon frames with takeLine directly). */
 class LineReader
 {
   public:

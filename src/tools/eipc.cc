@@ -13,6 +13,10 @@
  *   eipc --socket PATH spans [--out FILE]
  *   eipc --socket PATH shutdown
  *
+ * fetch redeems a finished job: the daemon forgets it once fetched, so
+ * a second fetch of the id answers "unknown job" (resubmit the request
+ * to get the same bytes from the result cache).
+ *
  * stats and metrics render a human-readable table on stdout; --json
  * dumps the raw response document instead, and --out always writes the
  * raw bytes (smoke scripts validate those files). metrics --prom
@@ -44,7 +48,8 @@ usage()
         "            [--no-skip] [--sample-interval N] [--inject-crash]\n"
         "            [--wait [--timeout SECONDS]] [--out FILE]\n"
         "  status    --job N\n"
-        "  fetch     --job N [--out FILE]\n"
+        "  fetch     --job N [--out FILE]  (redeems a finished job once;\n"
+        "            resubmit to read it again from the result cache)\n"
         "  stats     [--json] [--out FILE]\n"
         "  metrics   [--prom|--json] [--out FILE]\n"
         "  spans     [--out FILE]\n"

@@ -9,8 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -179,6 +182,50 @@ TEST(Json, ParserRejectsMalformedInput)
     std::string error;
     EXPECT_FALSE(obs::parseJson("[1, 2", &error).has_value());
     EXPECT_FALSE(error.empty());
+}
+
+TEST(Json, ParserAcceptsOnlyJsonNumbers)
+{
+    // strtod's extensions, leading zeros, bare signs and dots, and
+    // literals too large for a double are not JSON numbers.
+    for (const char *token :
+         {"inf", "-inf", "nan", "NaN", "0x10", "1e999", "-1e999", "+1",
+          "01", "-", "1.", ".5", "1e", "1e+", "- 1"}) {
+        std::string error;
+        EXPECT_FALSE(obs::parseJson(std::string("[") + token + "]", &error)
+                         .has_value())
+            << token;
+        EXPECT_FALSE(error.empty()) << token;
+    }
+    auto number = [](const char *token) {
+        auto parsed = obs::parseJson(token);
+        EXPECT_TRUE(parsed.has_value()) << token;
+        return parsed.has_value() ? parsed->number : 0.0;
+    };
+    EXPECT_EQ(number("-0"), 0.0);
+    EXPECT_TRUE(std::signbit(number("-0")));
+    EXPECT_EQ(number("1.5e+3"), 1500.0);
+    EXPECT_EQ(number("1e30"), 1e30);
+    EXPECT_EQ(number("-12.25E-2"), -0.1225);
+    EXPECT_EQ(number("0"), 0.0);
+}
+
+TEST(Json, AsU64IsDefinedForEveryDouble)
+{
+    auto u64 = [](double number) {
+        obs::JsonValue v;
+        v.type = obs::JsonValue::Type::Number;
+        v.number = number;
+        return v.asU64();
+    };
+    EXPECT_EQ(u64(-1.0), 0u);
+    EXPECT_EQ(u64(-0.0), 0u);
+    EXPECT_EQ(u64(std::nan("")), 0u);
+    EXPECT_EQ(u64(42.9), 42u);
+    EXPECT_EQ(u64(18446744073709549568.0), 18446744073709549568ull);
+    EXPECT_EQ(u64(0x1p64), UINT64_MAX);
+    EXPECT_EQ(u64(1e30), UINT64_MAX);
+    EXPECT_EQ(u64(std::numeric_limits<double>::infinity()), UINT64_MAX);
 }
 
 /** The key round-trip: every SimStats counter registered through

@@ -4,14 +4,22 @@
  * queue, the content-addressed result cache, the eip-serve/v1 protocol
  * round-trip, and the daemon end to end over a real Unix-domain socket
  * — cold simulate, warm cache-serve with byte-identical artifacts,
- * worker-crash isolation, and explicit backpressure.
+ * worker-crash isolation, explicit backpressure, and the one-thread
+ * I/O loop's bounds (thread count, job table, request line, a client
+ * that stops reading).
  */
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <chrono>
+#include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +33,7 @@
 #include "serve/protocol.hh"
 #include "serve/queue.hh"
 #include "serve/result_cache.hh"
+#include "serve/socket_io.hh"
 #include "serve/worker.hh"
 #include "sim/config.hh"
 #include "trace/workloads.hh"
@@ -50,6 +59,35 @@ tinyRequest()
     run.instructions = 20000;
     run.warmup = 10000;
     return run;
+}
+
+/** Threads of this process right now. */
+size_t
+threadCount()
+{
+    size_t n = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+        (void)entry;
+        ++n;
+    }
+    return n;
+}
+
+/** Submit @p run, wait for it and fetch its artifact. */
+std::string
+runToArtifact(serve::Client &client, const serve::RunRequest &run,
+              serve::SubmitOutcome &outcome)
+{
+    std::string error;
+    EXPECT_TRUE(client.submit(run, outcome, &error)) << error;
+    EXPECT_TRUE(outcome.accepted) << outcome.error;
+    serve::JobView view;
+    EXPECT_TRUE(client.waitTerminal(outcome.job, view, 60.0, &error))
+        << error;
+    EXPECT_EQ(view.state, "done") << view.error;
+    EXPECT_TRUE(client.fetch(outcome.job, view, &error)) << error;
+    return view.artifact;
 }
 
 TEST(BoundedQueue, FifoWithRejectionWhenFull)
@@ -204,6 +242,22 @@ TEST(ServeProtocol, RejectsMalformedRequests)
         R"({"schema":"eip-serve/v1","kind":"request","op":"submit",)"
         R"("run":{"workload":"tiny","instructions":"many"}})",
         parsed, error));
+    // Job ids past 2^64 - 1, and a hex literal JSON does not have.
+    for (const char *job : {"1e30", "18446744073709551616", "0x10"}) {
+        EXPECT_FALSE(serve::parseRequest(
+            std::string(R"({"schema":"eip-serve/v1","kind":"request",)"
+                        R"("op":"status","job":)") +
+                job + "}",
+            parsed, error))
+            << job;
+    }
+    // The largest double below 2^64 is still a valid id.
+    ASSERT_TRUE(serve::parseRequest(
+        R"({"schema":"eip-serve/v1","kind":"request","op":"status",)"
+        R"("job":18446744073709549568})",
+        parsed, error))
+        << error;
+    EXPECT_EQ(parsed.job, 18446744073709549568ull);
 }
 
 TEST(ServeProtocol, ToRunSpecForcesCounterCollection)
@@ -472,6 +526,206 @@ TEST(ServeDaemon, FullQueueRejectsWithBackpressure)
     obs::CounterDump stats = daemon.statsDump();
     EXPECT_EQ(stats.counter("serve.rejected_queue_full").value(), rejected);
     EXPECT_EQ(stats.counter("serve.simulated").value(), accepted.size());
+
+    daemon.stop();
+}
+
+TEST(ServeDaemon, OneThreadServesManyConnections)
+{
+    serve::DaemonOptions options;
+    options.socketPath = testSocket("threads");
+    serve::Daemon daemon(options);
+    std::string error;
+    ASSERT_TRUE(daemon.start(&error)) << error;
+    const size_t baseline = threadCount();
+
+    std::vector<int> idle;
+    for (int i = 0; i < 64; ++i) {
+        int fd = serve::connectUnix(options.socketPath, &error);
+        ASSERT_GE(fd, 0) << error;
+        idle.push_back(fd);
+    }
+
+    serve::Client client;
+    ASSERT_TRUE(client.connect(options.socketPath, &error)) << error;
+    serve::SubmitOutcome outcome;
+    EXPECT_FALSE(runToArtifact(client, tinyRequest(), outcome).empty());
+    EXPECT_EQ(threadCount(), baseline);
+
+    // Every idle connection is live and answered by the same thread.
+    serve::Request stats;
+    stats.op = serve::Request::Op::Stats;
+    for (int fd : idle) {
+        ASSERT_TRUE(serve::sendLine(fd, serve::requestJson(stats)));
+        serve::LineReader reader(fd);
+        std::string line;
+        ASSERT_TRUE(reader.readLine(line));
+        EXPECT_NE(line.find("\"kind\":\"stats\""), std::string::npos);
+    }
+    EXPECT_EQ(threadCount(), baseline);
+
+    for (int fd : idle)
+        ::close(fd);
+    daemon.stop();
+}
+
+TEST(ServeDaemon, FetchRedeemsAFinishedJobOnce)
+{
+    serve::DaemonOptions options;
+    options.socketPath = testSocket("redeem");
+    serve::Daemon daemon(options);
+    std::string error;
+    ASSERT_TRUE(daemon.start(&error)) << error;
+
+    serve::Client client;
+    ASSERT_TRUE(client.connect(options.socketPath, &error)) << error;
+    serve::SubmitOutcome cold;
+    const std::string artifact = runToArtifact(client, tinyRequest(), cold);
+    ASSERT_FALSE(artifact.empty());
+
+    serve::JobView view;
+    EXPECT_FALSE(client.status(cold.job, view, &error));
+    EXPECT_EQ(error, "unknown job " + std::to_string(cold.job));
+    EXPECT_FALSE(client.fetch(cold.job, view, &error));
+    EXPECT_EQ(error, "unknown job " + std::to_string(cold.job));
+
+    // The artifact outlives its job in the result cache.
+    serve::SubmitOutcome warm;
+    EXPECT_EQ(runToArtifact(client, tinyRequest(), warm), artifact);
+    EXPECT_EQ(warm.served, "cache");
+    EXPECT_NE(warm.job, cold.job);
+
+    daemon.stop();
+}
+
+TEST(ServeDaemon, FinishedJobTableIsCapped)
+{
+    serve::DaemonOptions options;
+    options.socketPath = testSocket("cap");
+    serve::Daemon daemon(options);
+    std::string error;
+    ASSERT_TRUE(daemon.start(&error)) << error;
+
+    serve::Client client;
+    ASSERT_TRUE(client.connect(options.socketPath, &error)) << error;
+    serve::SubmitOutcome seed;
+    const std::string artifact = runToArtifact(client, tinyRequest(), seed);
+    ASSERT_FALSE(artifact.empty());
+
+    // Cache hits nobody fetches: each one is a finished job at once.
+    const size_t overflow = 64;
+    std::vector<uint64_t> ids;
+    for (size_t i = 0; i < serve::Daemon::kFinishedJobCap + overflow; ++i) {
+        serve::SubmitOutcome outcome;
+        ASSERT_TRUE(client.submit(tinyRequest(), outcome, &error)) << error;
+        ASSERT_EQ(outcome.served, "cache");
+        ids.push_back(outcome.job);
+    }
+
+    serve::JobView view;
+    for (size_t i = 0; i < overflow; ++i) {
+        EXPECT_FALSE(client.status(ids[i], view, &error)) << ids[i];
+        EXPECT_EQ(error, "unknown job " + std::to_string(ids[i]));
+    }
+    ASSERT_TRUE(client.status(ids[overflow], view, &error)) << error;
+    EXPECT_EQ(view.state, "done");
+    ASSERT_TRUE(client.fetch(ids.back(), view, &error)) << error;
+    EXPECT_EQ(view.artifact, artifact);
+
+    daemon.stop();
+}
+
+TEST(ServeDaemon, StalledReaderDoesNotBlockOthers)
+{
+    serve::DaemonOptions options;
+    options.socketPath = testSocket("stalled");
+    serve::Daemon daemon(options);
+    std::string error;
+    ASSERT_TRUE(daemon.start(&error)) << error;
+
+    // A pipelines stats requests and never reads, until its own send
+    // would block: by then the daemon holds an unsent response for A.
+    int stalled = serve::connectUnix(options.socketPath, &error);
+    ASSERT_GE(stalled, 0) << error;
+    ASSERT_EQ(::fcntl(stalled, F_SETFL,
+                      ::fcntl(stalled, F_GETFL) | O_NONBLOCK),
+              0);
+    serve::Request stats;
+    stats.op = serve::Request::Op::Stats;
+    const std::string line = serve::requestJson(stats) + "\n";
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    bool blocked = false;
+    while (!blocked && std::chrono::steady_clock::now() < give_up) {
+        ssize_t n = ::send(stalled, line.data(), line.size(), MSG_NOSIGNAL);
+        if (n < 0) {
+            ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK) << errno;
+            // Give the daemon a moment to drain what it can, then see
+            // whether the pipe is still full.
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            blocked = ::send(stalled, line.data(), line.size(),
+                             MSG_NOSIGNAL) < 0;
+        }
+    }
+    ASSERT_TRUE(blocked) << "the daemon kept draining a client that "
+                            "never reads";
+
+    const auto start = std::chrono::steady_clock::now();
+    serve::Client client;
+    ASSERT_TRUE(client.connect(options.socketPath, &error)) << error;
+    serve::SubmitOutcome outcome;
+    EXPECT_FALSE(runToArtifact(client, tinyRequest(), outcome).empty());
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(5));
+
+    ::close(stalled);
+    daemon.stop();
+}
+
+TEST(ServeDaemon, OversizedRequestLineIsRejected)
+{
+    serve::DaemonOptions options;
+    options.socketPath = testSocket("oversized");
+    serve::Daemon daemon(options);
+    std::string error;
+    ASSERT_TRUE(daemon.start(&error)) << error;
+
+    int fd = serve::connectUnix(options.socketPath, &error);
+    ASSERT_GE(fd, 0) << error;
+    // A daemon that buffers forever must fail this test, not hang it.
+    const timeval limit{10, 0};
+    ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &limit,
+                           sizeof(limit)),
+              0);
+    ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &limit,
+                           sizeof(limit)),
+              0);
+    // Twice the cap and no newline. The daemon hangs up part way, so
+    // the send ends early with an error; that is the expected outcome.
+    const std::string junk(2 * serve::Daemon::kMaxRequestBytes, 'x');
+    size_t sent = 0;
+    while (sent < junk.size()) {
+        ssize_t n = ::send(fd, junk.data() + sent, junk.size() - sent,
+                           MSG_NOSIGNAL);
+        if (n <= 0)
+            break;
+        sent += static_cast<size_t>(n);
+    }
+    serve::LineReader reader(fd);
+    std::string line;
+    ASSERT_TRUE(reader.readLine(line));
+    std::optional<obs::JsonValue> doc = obs::parseJson(line);
+    ASSERT_TRUE(doc.has_value()) << line;
+    EXPECT_EQ(doc->find("status")->string, "invalid");
+    EXPECT_NE(doc->find("error")->string.find("exceeds"), std::string::npos);
+    EXPECT_FALSE(reader.readLine(line)); // and the connection is closed
+    ::close(fd);
+
+    serve::Client client;
+    ASSERT_TRUE(client.connect(options.socketPath, &error)) << error;
+    serve::SubmitOutcome outcome;
+    EXPECT_FALSE(runToArtifact(client, tinyRequest(), outcome).empty());
+    EXPECT_EQ(daemon.statsDump().counter("serve.invalid").value(), 1u);
 
     daemon.stop();
 }
