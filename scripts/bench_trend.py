@@ -29,11 +29,36 @@ Usage: scripts/bench_trend.py [--threshold PCT] BENCH.json [BENCH.json...]
 Exit codes: 0 no regression (or fewer than two comparable artifacts,
 or EIP_BENCH_REGRESS_OK=1), 1 regression beyond the threshold,
 2 usage/unreadable input.
+
+History mode keeps the repository benchmark's perf trajectory. Each
+line of bench/history/<fingerprint>.jsonl is one eipbench run:
+{"rev", "fingerprint", "meta", "result"}, where meta is the run's
+`meta` line and result its final JSON line. The fingerprint digests
+the host fields of meta (cpu_model, nproc, parallelism, compiler,
+build_type), so a file holds runs of one host only.
+
+  --record DIR [--rev LABEL] < eipbench-stdout
+      append one run to DIR/<fingerprint>.jsonl (LABEL defaults to
+      meta.git_describe);
+  --history FILE.jsonl [FILE.jsonl...]
+      check every line's format and fingerprint, then print, per
+      fingerprint and (workload, traced), the median of each metric
+      BENCHMARK.json names (end-to-end for untraced runs, per-layer for
+      traced ones) per rev in file order, with the delta against the
+      previous rev. Medians are never compared across fingerprints.
+      Exit 0, or 2 on a malformed line; a report, not a gate.
 """
 
+import hashlib
 import json
 import os
+import statistics
 import sys
+
+HOST_FIELDS = ("cpu_model", "nproc", "parallelism", "compiler",
+               "build_type")
+BENCHMARK_JSON = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                              os.pardir, "BENCHMARK.json")
 
 
 def mips_values(doc, sampled=False):
@@ -107,7 +132,117 @@ def print_family(name, unit, trend):
     return delta_pct if len(trend) >= 2 else 0.0
 
 
+def fingerprint(meta):
+    """16 hex digits of SHA-256 over the host fields of a meta line."""
+    host = {field: meta.get(field) for field in HOST_FIELDS}
+    canon = json.dumps(host, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode()).hexdigest()[:16]
+
+
+def record(argv):
+    """Append the run on stdin (eipbench stdout) to DIR/<fp>.jsonl."""
+    if not argv or (len(argv) != 1 and (len(argv) != 3 or
+                                        argv[1] != "--rev")):
+        print("bench-trend: --record DIR [--rev LABEL]", file=sys.stderr)
+        return 2
+    meta = result = None
+    for line in sys.stdin:
+        line = line.strip()
+        if line.startswith("meta "):
+            meta = json.loads(line[len("meta "):])
+        elif line.startswith("{"):
+            result = json.loads(line)
+    if meta is None or result is None:
+        print("bench-trend: stdin holds no meta line and result JSON",
+              file=sys.stderr)
+        return 2
+    fp = fingerprint(meta)
+    rev = argv[2] if len(argv) == 3 else meta.get("git_describe", "?")
+    path = os.path.join(argv[0], fp + ".jsonl")
+    os.makedirs(argv[0], exist_ok=True)
+    with open(path, "a") as f:
+        f.write(json.dumps({"rev": rev, "fingerprint": fp, "meta": meta,
+                            "result": result}, separators=(",", ":")))
+        f.write("\n")
+    print(path)
+    return 0
+
+
+def history(paths):
+    """Format check plus per-rev medians; see the module docstring."""
+    with open(BENCHMARK_JSON) as f:
+        bench = json.load(f)
+    # Untraced runs report the gated end-to-end metrics, traced runs
+    # the per-layer ones.
+    wanted = {False: [m["name"] for m in bench["end_to_end"]],
+              True: [m["name"] for m in bench["per_layer"]]}
+    # fingerprint -> (workload, traced) -> rev -> metric -> [values].
+    hosts = {}
+    for path in paths:
+        stem = os.path.basename(path)[:-len(".jsonl")]
+        try:
+            with open(path) as f:
+                lines = f.readlines()
+        except OSError as err:
+            print(f"bench-trend: {path}: unreadable: {err}",
+                  file=sys.stderr)
+            return 2
+        for number, line in enumerate(lines, 1):
+            where = f"{path}:{number}"
+            try:
+                run = json.loads(line)
+                meta, result = run["meta"], run["result"]
+                traced = bool(meta["traced"])
+                values = {m: float(result["metrics"][m]["value"])
+                          for m in wanted[traced]}
+                key = (meta["workload"], traced)
+                rev = str(run["rev"])
+            except (ValueError, KeyError, TypeError) as err:
+                print(f"bench-trend: {where}: malformed run: {err!r}",
+                      file=sys.stderr)
+                return 2
+            fp = fingerprint(meta)
+            if run.get("fingerprint") != fp or stem != fp:
+                print(f"bench-trend: {where}: fingerprint {fp} of its "
+                      f"meta does not match the line or the file name",
+                      file=sys.stderr)
+                return 2
+            if result.get("correct") is not True:
+                print(f"{where}: run reports correct != true")
+            revs = hosts.setdefault(fp, {}).setdefault(key, {})
+            for m, value in values.items():
+                revs.setdefault(rev, {}).setdefault(m, []).append(value)
+    for fp, groups in hosts.items():
+        print(f"\nhost {fp}")
+        for (workload, traced), revs in groups.items():
+            counts = ", ".join(f"{rev} n={len(next(iter(v.values())))}"
+                               for rev, v in revs.items())
+            print(f"{workload}{' (traced)' if traced else ''}: {counts}")
+            for m in wanted[traced]:
+                cells = []
+                previous = None
+                for by_metric in revs.values():
+                    median = statistics.median(by_metric[m])
+                    cell = f"{median:.4g}"
+                    if previous:
+                        delta = 100.0 * (median - previous) / abs(previous)
+                        cell += f" ({delta:+.0f}%)"
+                    cells.append(f"{cell:>16}")
+                    previous = median
+                print(f"  {m:<32}" + " ".join(cells))
+    print(f"\nbench-trend: history OK ({len(paths)} file(s))")
+    return 0
+
+
 def main(argv):
+    if len(argv) > 1 and argv[1] == "--history":
+        if len(argv) < 3 or not all(p.endswith(".jsonl") for p in argv[2:]):
+            print("bench-trend: --history FILE.jsonl [FILE.jsonl...]",
+                  file=sys.stderr)
+            return 2
+        return history(argv[2:])
+    if len(argv) > 1 and argv[1] == "--record":
+        return record(argv[2:])
     threshold = 10.0
     paths = []
     args = iter(argv[1:])

@@ -38,7 +38,7 @@ struct CliOptions
     std::string tracePath;
     /** Corpus traces appended to the batch catalogue (--suite-trace,
      *  repeatable; needs --workload all). Each is admitted through the
-     *  per-trace MPKI qualification (trace::traceQualifies); traces that
+     *  per-trace MPKI qualification (trace::qualifies); traces that
      *  fail it are skipped with a notice, not fatal. */
     std::vector<std::string> suiteTraces;
     std::string prefetcher = "entangling-4k";

@@ -38,10 +38,8 @@ RunSpec::defaultSpec()
 
 namespace {
 
-/** The catalogue, built once per process. Construction is expensive —
- *  cvpSuite() executes ~400k instructions per candidate seed to apply
- *  the paper's >= 1 L1I MPKI selection filter — which a one-shot CLI
- *  absorbs but a daemon validating every request must not repay.
+/** The catalogue, built once per process from the pinned CVP selection
+ *  and the fixed CloudSuite and tiny entries; name lookups share it.
  *  Thread-safe (magic static); entries are immutable once built. */
 const std::vector<trace::Workload> &
 catalogueMemo()
@@ -86,11 +84,12 @@ mixedCatalogue(const std::vector<std::string> &trace_paths,
             continue;
         }
         uint64_t footprint = 0;
-        if (!trace::traceQualifies(w, &footprint)) {
+        if (!trace::qualifies(w, &footprint)) {
             note(path + ": skipped — code footprint " +
                  std::to_string(footprint / 1024) +
-                 " KB is below the >= 1 L1I MPKI proxy (40 KB), "
-                 "mirroring the synthetic seed filter");
+                 " KB is below the >= 1 L1I MPKI proxy (" +
+                 std::to_string(trace::kQualifyFootprintBytes / 1024) +
+                 " KB), the filter that selected the synthetic seeds");
             continue;
         }
         note(path + ": admitted (" + std::to_string(footprint / 1024) +

@@ -170,13 +170,13 @@ bool findWorkload(const std::string &name, trace::Workload &out);
 /**
  * The default catalogue extended with trace-backed workloads, one per
  * entry of @p trace_paths, so batch suites can mix corpus traces with
- * the synthetic categories. Each trace is admitted through the same
- * selection filter that gates synthetic seeds (trace::traceQualifies,
- * the >= 1 L1I MPKI footprint proxy); unreadable paths and traces below
- * the threshold are skipped — never fatal, so one bad corpus file
- * cannot sink a suite run — with a human-readable line per skip (and
- * per admission) appended to @p notes when non-null. Duplicate paths
- * are admitted once.
+ * the synthetic categories. Each trace is admitted through the
+ * selection probe that picked the pinned synthetic seeds
+ * (trace::qualifies, the >= 1 L1I MPKI footprint proxy); unreadable
+ * paths and traces below the threshold are skipped — never fatal, so
+ * one bad corpus file cannot sink a suite run — with a human-readable
+ * line per skip (and per admission) appended to @p notes when non-null.
+ * Duplicate paths are admitted once.
  */
 std::vector<trace::Workload>
 mixedCatalogue(const std::vector<std::string> &trace_paths,

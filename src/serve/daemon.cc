@@ -258,14 +258,16 @@ Daemon::pump(Connection &conn, bool readable)
 {
     for (;;) {
         if (!conn.outbox.empty()) {
-            ssize_t n = ::send(conn.fd, conn.outbox.data(),
-                               conn.outbox.size(), MSG_NOSIGNAL);
+            ssize_t n = ::send(conn.fd, conn.outbox.data() + conn.sent,
+                               conn.outbox.size() - conn.sent, MSG_NOSIGNAL);
             if (n < 0)
                 return errno == EAGAIN || errno == EWOULDBLOCK ||
                        errno == EINTR;
-            conn.outbox.erase(0, static_cast<size_t>(n));
-            if (!conn.outbox.empty())
+            conn.sent += static_cast<size_t>(n);
+            if (conn.sent < conn.outbox.size())
                 continue;
+            conn.outbox.clear();
+            conn.sent = 0;
             if (conn.closing)
                 return false;
         }

@@ -147,6 +147,7 @@ class Daemon
         int fd = -1;
         std::string inbox;  ///< received bytes not yet framed
         std::string outbox; ///< the pending response (read stops while set)
+        size_t sent = 0;    ///< bytes of the outbox already sent
         bool closing = false; ///< hang up once the outbox drains
     };
 

@@ -2,11 +2,11 @@
 
 #include <cstdio>
 #include <cstring>
+#include <iterator>
+#include <memory>
+#include <optional>
 #include <unordered_set>
 
-#include <memory>
-
-#include "trace/executor.hh"
 #include "trace/source.hh"
 #include "util/hash.hh"
 #include "util/panic.hh"
@@ -114,76 +114,54 @@ categoryConfig(const std::string &category)
     return cfg;
 }
 
-namespace {
-
-/** One recurrence window of the selection probe, in instructions. */
-constexpr uint64_t kQualifyWindow = 400000;
-
-/** Footprint threshold of the selection probe: >= ~40KB of touched code
- *  (vs the 32KB L1I) corresponds to >= 1 L1I MPKI on this simulator. */
-constexpr uint64_t kQualifyFootprintBytes = 40 * 1024;
-
-/** Dynamic code footprint (bytes of distinct 64-byte lines) of one
- *  selection window streamed from @p stream. */
-uint64_t
-probeFootprint(InstructionSource &stream)
+bool
+qualifies(const Workload &workload, uint64_t *footprint_bytes)
 {
+    std::optional<Program> program;
+    if (workload.kind == WorkloadKind::Synthetic)
+        program.emplace(buildProgram(workload.program));
+    std::unique_ptr<InstructionSource> stream =
+        makeTraceSource(workload, program ? &*program : nullptr)->open();
     std::unordered_set<uint64_t> lines;
     for (uint64_t i = 0; i < kQualifyWindow; ++i)
-        lines.insert(stream.next().pc >> 6);
-    return lines.size() * 64;
-}
-
-/**
- * Workload selection, emulating the paper's methodology: of the CVP
- * traces, only those with at least 1 L1I MPKI on the baseline were
- * evaluated (959 of them). The cheap trace-level proxy for that property
- * is the dynamic code footprint of one recurrence window.
- */
-bool
-workloadQualifies(const Workload &candidate)
-{
-    Program prog = buildProgram(candidate.program);
-    Executor exec(prog, candidate.exec);
-    return probeFootprint(exec) >= kQualifyFootprintBytes;
-}
-
-} // namespace
-
-bool
-traceQualifies(const Workload &workload, uint64_t *footprint_bytes)
-{
-    EIP_ASSERT(workload.kind != WorkloadKind::Synthetic,
-               "traceQualifies takes a trace-backed workload");
-    std::unique_ptr<InstructionSource> stream =
-        makeTraceSource(workload, nullptr)->open();
-    uint64_t footprint = probeFootprint(*stream);
+        lines.insert(stream->next().pc >> 6);
+    const uint64_t footprint = lines.size() * 64;
     if (footprint_bytes != nullptr)
         *footprint_bytes = footprint;
     return footprint >= kQualifyFootprintBytes;
 }
 
+const CvpPin kCvpPins[4] = {
+    {"crypto", {1, 4, 5}},
+    {"int", {1, 2, 3}},
+    {"fp", {1, 3, 5}},
+    {"srv", {1, 2, 3}},
+};
+
+Workload
+cvpCandidate(const std::string &category, int index)
+{
+    Workload w;
+    w.category = category;
+    w.program = categoryConfig(category);
+    w.program.seed = 0x1000 * index + category.size();
+    w.exec.seed = 0x77 + index - 1;
+    return w;
+}
+
 std::vector<Workload>
 cvpSuite(int seeds_per_category)
 {
-    const char *categories[] = {"crypto", "int", "fp", "srv"};
+    const int pinned = static_cast<int>(std::size(kCvpPins[0].candidates));
+    EIP_ASSERT(seeds_per_category >= 1 && seeds_per_category <= pinned,
+               "cvpSuite pins 1 to 3 seeds per category");
     std::vector<Workload> suite;
-    for (const char *cat : categories) {
-        int accepted = 0;
-        for (int s = 1; accepted < seeds_per_category && s <= 64; ++s) {
-            Workload w;
-            w.category = cat;
-            w.program = categoryConfig(cat);
-            w.program.seed = 0x1000 * s + std::strlen(cat);
-            w.exec.seed = 0x77 + s - 1;
-            if (!workloadQualifies(w))
-                continue;
-            ++accepted;
-            w.name = std::string(cat) + "-" + std::to_string(accepted);
+    for (const CvpPin &pin : kCvpPins) {
+        for (int k = 0; k < seeds_per_category; ++k) {
+            Workload w = cvpCandidate(pin.category, pin.candidates[k]);
+            w.name = std::string(pin.category) + "-" + std::to_string(k + 1);
             suite.push_back(std::move(w));
         }
-        EIP_ASSERT(accepted == seeds_per_category,
-                   "could not find enough qualifying workload seeds");
     }
     return suite;
 }

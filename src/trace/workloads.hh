@@ -61,10 +61,32 @@ struct Workload
 /** Base generator config for one CVP category (before seeding). */
 ProgramConfig categoryConfig(const std::string &category);
 
+/** The qualified seeds of one CVP-like category: the cvpCandidate
+ *  indices of its first three candidates that pass qualifies().
+ *  The table is pinned in source because the answer never changes; a
+ *  test re-derives it with the production probe. */
+struct CvpPin
+{
+    const char *category;
+    int candidates[3];
+};
+
+/** The pinned selection, in suite order (crypto, int, fp, srv). */
+extern const CvpPin kCvpPins[4];
+
 /**
- * The CVP-like suite: @p seeds_per_category seeded variants of each of the
- * four categories. The paper uses 959 selected traces; we default to a
- * laptop-scale sample that preserves the category mix.
+ * Candidate @p index (1-based) of a CVP-like @p category: the category's
+ * generator config seeded with 0x1000 * index + strlen(category) and an
+ * executor seed of 0x77 + index - 1. The name is left empty; cvpSuite
+ * names each pinned candidate `category-k` by its rank k.
+ */
+Workload cvpCandidate(const std::string &category, int index);
+
+/**
+ * The CVP-like suite: the first @p seeds_per_category (1..3) qualified
+ * seeds of each of the four categories, straight from kCvpPins. The
+ * paper uses 959 selected traces; this laptop-scale sample preserves
+ * the category mix. Builds no program and runs no instruction stream.
  */
 std::vector<Workload> cvpSuite(int seeds_per_category = 3);
 
@@ -95,19 +117,28 @@ bool tryTraceWorkload(const std::string &path, Workload &out,
 /** As tryTraceWorkload, fatal on failure (one-shot CLI convenience). */
 Workload traceWorkload(const std::string &path);
 
+/** Instructions in one window of the selection probe: one recurrence
+ *  window of the synthetic programs. */
+constexpr uint64_t kQualifyWindow = 400000;
+
+/** Footprint threshold of the selection probe: >= 40KB of touched code
+ *  (vs the 32KB L1I) corresponds to >= 1 L1I MPKI on this simulator. */
+constexpr uint64_t kQualifyFootprintBytes = 40 * 1024;
+
 /**
- * Per-trace mirror of the synthetic suite's selection filter: stream one
- * recurrence window (400k instructions) of the trace and apply the same
- * >= 40KB dynamic-code-footprint proxy for >= 1 L1I MPKI that admits
- * synthetic seeds into cvpSuite. Traces below the threshold would dilute
- * a suite's prefetcher-sensitivity signal exactly like an unqualifying
- * seed, so mixed catalogues gate them identically. @p footprint_bytes,
- * when non-null, receives the measured footprint for reporting either
- * way. Traces shorter than the window wrap (InstructionSource loops), so
- * the probe saturates at the trace's whole code footprint.
+ * The workload selection probe, emulating the paper's methodology (of
+ * the CVP traces only those with >= 1 L1I MPKI on the baseline were
+ * evaluated): stream the first kQualifyWindow instructions of
+ * @p workload, of any kind, and admit it when their dynamic code
+ * footprint (distinct 64-byte lines) reaches kQualifyFootprintBytes.
+ * @p footprint_bytes, when non-null, receives the measured footprint
+ * either way. Traces shorter than the window wrap (InstructionSource
+ * loops), so the probe saturates at the trace's whole code footprint.
+ * The pinned CVP suite was selected with it; at run time only corpus
+ * traces of mixed catalogues are probed.
  */
-bool traceQualifies(const Workload &workload,
-                    uint64_t *footprint_bytes = nullptr);
+bool qualifies(const Workload &workload,
+               uint64_t *footprint_bytes = nullptr);
 
 /**
  * Identity-preserving capture/replay pin: a workload that replays

@@ -115,7 +115,7 @@ TEST(MixedCatalogue, AdmitsQualifyingTraceSkipsRestWithNotes)
     {
         trace::Program prog = trace::buildProgram(srv.program);
         trace::Executor exec(prog, srv.exec);
-        trace::captureTrace(path, exec, 400000);
+        trace::captureTrace(path, exec, trace::kQualifyWindow);
     }
 
     std::vector<std::string> notes;
@@ -141,14 +141,14 @@ TEST(MixedCatalogue, RejectsTracesBelowTheFootprintProxy)
     {
         trace::Program prog = trace::buildProgram(tiny.program);
         trace::Executor exec(prog, tiny.exec);
-        trace::captureTrace(path, exec, 400000);
+        trace::captureTrace(path, exec, trace::kQualifyWindow);
     }
 
     trace::Workload as_trace;
     ASSERT_TRUE(findWorkload(path, as_trace));
     uint64_t footprint = 0;
-    EXPECT_FALSE(trace::traceQualifies(as_trace, &footprint));
-    EXPECT_LT(footprint, 40u * 1024u);
+    EXPECT_FALSE(trace::qualifies(as_trace, &footprint));
+    EXPECT_LT(footprint, trace::kQualifyFootprintBytes);
     EXPECT_GT(footprint, 0u);
 
     std::vector<std::string> notes;

@@ -2,14 +2,16 @@
  * @file
  * Additional property-based tests: brute-force cross-checks of the
  * compression capacity rules, history-buffer walk properties under random
- * operation sequences, executor memory-pattern invariants, and
- * determinism of the workload selection.
+ * operation sequences, executor memory-pattern invariants, and the
+ * pinned workload selection re-derived with its probe.
  */
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
-#include <set>
+#include <string>
+#include <vector>
 
 #include "core/dest_compression.hh"
 #include "core/history_buffer.hh"
@@ -191,25 +193,49 @@ TEST(ExecutorProperty, StreamSitesAdvanceByConstantStride)
 // Workload selection.
 // ---------------------------------------------------------------------
 
-TEST(WorkloadSelection, SuiteIsDeterministicAndQualified)
+TEST(WorkloadSelection, PinnedSuiteMatchesTheProbe)
 {
-    auto a = trace::cvpSuite(2);
-    auto b = trace::cvpSuite(2);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].name, b[i].name);
-        EXPECT_EQ(a[i].program.seed, b[i].program.seed);
+    // Re-derive the pinned table with the production probe: the first
+    // three qualifying candidates of each category, in order.
+    for (const trace::CvpPin &pin : trace::kCvpPins) {
+        std::vector<int> found;
+        for (int s = 1; found.size() < 3 && s <= 64; ++s) {
+            if (trace::qualifies(trace::cvpCandidate(pin.category, s)))
+                found.push_back(s);
+        }
+        EXPECT_EQ(found, std::vector<int>(std::begin(pin.candidates),
+                                          std::end(pin.candidates)))
+            << pin.category;
     }
-    // Every accepted workload touches well over the 32KB L1I per window
-    // (the paper's >= 1 MPKI selection proxy).
-    for (const auto &w : a) {
-        trace::Program prog = trace::buildProgram(w.program);
-        trace::Executor exec(prog, w.exec);
-        std::set<uint64_t> lines;
-        for (int i = 0; i < 400000; ++i)
-            lines.insert(exec.next().pc >> 6);
-        EXPECT_GE(lines.size() * 64, 40u * 1024) << w.name;
+}
+
+TEST(WorkloadSelection, SuiteIsBuiltFromThePins)
+{
+    auto suite = trace::cvpSuite(3);
+    ASSERT_EQ(suite.size(), 12u);
+    size_t i = 0;
+    for (const trace::CvpPin &pin : trace::kCvpPins) {
+        for (int k = 0; k < 3; ++k, ++i) {
+            trace::Workload want =
+                trace::cvpCandidate(pin.category, pin.candidates[k]);
+            EXPECT_EQ(suite[i].name, std::string(pin.category) + "-" +
+                                         std::to_string(k + 1));
+            EXPECT_EQ(suite[i].category, want.category);
+            EXPECT_EQ(suite[i].program.seed, want.program.seed);
+            EXPECT_EQ(suite[i].exec.seed, want.exec.seed);
+        }
     }
+    // A smaller suite is a prefix of each category's seeds.
+    auto one = trace::cvpSuite(1);
+    ASSERT_EQ(one.size(), 4u);
+    for (size_t c = 0; c < one.size(); ++c)
+        EXPECT_EQ(one[c].name, suite[3 * c].name);
+}
+
+TEST(WorkloadSelectionDeathTest, SeedCountOutsideThePins)
+{
+    EXPECT_DEATH(trace::cvpSuite(0), "1 to 3 seeds");
+    EXPECT_DEATH(trace::cvpSuite(4), "1 to 3 seeds");
 }
 
 } // namespace

@@ -6,7 +6,7 @@
  * — cold simulate, warm cache-serve with byte-identical artifacts,
  * worker-crash isolation, explicit backpressure, and the one-thread
  * I/O loop's bounds (thread count, job table, request line, a client
- * that stops reading).
+ * that stops reading, a response larger than the send buffer).
  */
 
 #include <gtest/gtest.h>
@@ -352,6 +352,60 @@ TEST(ServeDaemon, ColdRunThenCacheServedByteIdentical)
     EXPECT_EQ(stats.counter("serve.cache.entries").value(), 1u);
     EXPECT_EQ(stats.counter("serve.failed").value(), 0u);
 
+    daemon.stop();
+}
+
+TEST(ServeDaemon, ResponseLargerThanTheSendBufferArrivesWhole)
+{
+    // A fetch response bigger than the socket's send buffer leaves in
+    // several sends across poll() rounds, each resuming where the last
+    // one stopped.
+    serve::DaemonOptions options;
+    options.socketPath = testSocket("large");
+    serve::Daemon daemon(options);
+    std::string error;
+    ASSERT_TRUE(daemon.start(&error)) << error;
+    serve::Client client;
+    ASSERT_TRUE(client.connect(options.socketPath, &error)) << error;
+
+    serve::RunRequest run = tinyRequest();
+    run.sampleInterval = 20; // 1000 counter snapshots in the artifact
+    serve::SubmitOutcome outcome;
+    ASSERT_TRUE(client.submit(run, outcome, &error)) << error;
+    serve::JobView view;
+    ASSERT_TRUE(client.waitTerminal(outcome.job, view, 60.0, &error))
+        << error;
+
+    // Fetch on a raw socket with a receive timeout, so a response that
+    // never completes fails the test instead of hanging it.
+    int fd = serve::connectUnix(options.socketPath, &error);
+    ASSERT_GE(fd, 0) << error;
+    const timeval limit{10, 0};
+    ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &limit,
+                           sizeof(limit)),
+              0);
+    serve::Request fetch;
+    fetch.op = serve::Request::Op::Fetch;
+    fetch.job = outcome.job;
+    ASSERT_TRUE(serve::sendLine(fd, serve::requestJson(fetch)));
+    std::string response;
+    serve::LineReader reader(fd);
+    const bool whole = reader.readLine(response);
+    int send_buffer = 0;
+    socklen_t size = sizeof(send_buffer);
+    ASSERT_EQ(::getsockopt(fd, SOL_SOCKET, SO_SNDBUF, &send_buffer, &size),
+              0);
+    ::close(fd);
+    ASSERT_TRUE(whole) << "the fetch response never completed";
+    EXPECT_GT(response.size(), 2 * static_cast<size_t>(send_buffer));
+
+    std::optional<obs::JsonValue> doc = obs::parseJson(response);
+    ASSERT_TRUE(doc.has_value());
+    harness::RunJob job;
+    job.workload = trace::tinyWorkload();
+    job.spec = serve::toRunSpec(run);
+    EXPECT_EQ(doc->find("artifact")->string,
+              harness::runJobArtifact(job).json);
     daemon.stop();
 }
 
