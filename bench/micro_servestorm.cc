@@ -11,7 +11,7 @@
  * timing fields by construction) both to its cold-simulated twin and
  * to an in-process harness::runJobArtifact reference.
  *
- * The daemon runs small (two dispatchers, queue depth 16) so the storm
+ * The daemon runs small (two workers, queue depth 16) so the storm
  * also exercises backpressure: rejected submits are retried and the
  * retry count is reported alongside the throughput numbers.
  */

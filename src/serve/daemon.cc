@@ -48,7 +48,7 @@ responseHead(Request::Op op, const char *status)
 
 Daemon::Daemon(DaemonOptions options)
     : options_(std::move(options)), gitDescribe_(obs::buildGitDescribe()),
-      queue_(options_.queueDepth), cache_(options_.cacheBytes),
+      cache_(options_.cacheBytes),
       metrics_(options_.metricsWindowSeconds)
 {
     if (options_.spanLimit > 0)
@@ -57,7 +57,7 @@ Daemon::Daemon(DaemonOptions options)
     registry_.counter("serve.invalid", [this] { return invalid_.load(); });
     registry_.counter("serve.submits", [this] { return submits_.load(); });
     registry_.counter("serve.rejected_queue_full",
-                      [this] { return queue_.rejected(); });
+                      [this] { return rejectedQueueFull_.load(); });
     registry_.counter("serve.served_cache",
                       [this] { return servedCache_.load(); });
     registry_.counter("serve.simulated", [this] { return simulated_.load(); });
@@ -65,9 +65,9 @@ Daemon::Daemon(DaemonOptions options)
     registry_.counter("serve.worker_crashes",
                       [this] { return workerCrashes_.load(); });
     registry_.counter("serve.queue.high_water",
-                      [this] { return queue_.highWater(); });
+                      [this] { return pendingHighWater_.load(); });
     registry_.gauge("serve.queue.depth", [this] {
-        return static_cast<double>(queue_.depth());
+        return static_cast<double>(pendingDepth_.load());
     });
     cache_.registerStats(registry_, "serve.cache");
     // The program cache only sees cold (forked) runs' parents — the
@@ -128,7 +128,7 @@ Daemon::start(std::string *error)
     EIP_ASSERT(!started_, "daemon started twice");
     // Warm the workload catalogue before accepting traffic: it is
     // expensive to build (harness::findWorkload docs), every submit
-    // validates against it, and building it here means forked workers
+    // validates against it, and building it here means forked children
     // inherit it ready-made.
     trace::Workload ignore;
     harness::findWorkload("tiny", ignore);
@@ -137,9 +137,6 @@ Daemon::start(std::string *error)
         return false;
     started_ = true;
     ioThread_ = std::thread([this] { ioLoop(); });
-    workerThreads_.reserve(options_.workers);
-    for (unsigned i = 0; i < options_.workers; ++i)
-        workerThreads_.emplace_back([this] { workerLoop(); });
     EIP_LOG_INFO("eipd", "listening",
                  obs::LogField("socket", options_.socketPath),
                  obs::LogField("workers",
@@ -176,20 +173,13 @@ Daemon::stop()
     stopped_ = true;
     requestStop();
 
-    // Retire the I/O loop: shutdown() of the listening socket wakes its
-    // poll() with POLLHUP, and the loop closes every connection on the
-    // way out.
+    // shutdown() of the listening socket wakes the loop's poll() with
+    // POLLHUP: the loop closes every connection, runs every queued job
+    // to completion and returns.
     ::shutdown(listenFd_, SHUT_RDWR);
     ioThread_.join();
     ::close(listenFd_);
     listenFd_ = -1;
-
-    // Drain the backlog through the workers, then retire them: close()
-    // makes pop() return empty only once the queue is dry, so every
-    // accepted job still completes.
-    queue_.close();
-    for (std::thread &thread : workerThreads_)
-        thread.join();
 
     ::unlink(options_.socketPath.c_str());
     EIP_LOG_INFO("eipd", "stopped",
@@ -204,11 +194,26 @@ Daemon::ioLoop()
 {
     std::vector<Connection> conns;
     std::vector<pollfd> fds;
+    bool accepting = true;
     for (;;) {
-        // Slot 0 is the listener; slot i + 1 is conns[i]. A connection
-        // waits to read only while it owes no response, so responses
-        // leave in request order and one slow reader stalls only itself.
-        fds.assign(1, pollfd{listenFd_, POLLIN, 0});
+        spawnPending();
+        if (!accepting && running_.empty())
+            break; // stopping, and every queued job has finished
+
+        // Slot 0 is the listener (-1 once stopping, which poll()
+        // skips), slots 1..running_.size() the children, and the rest
+        // conns in order. A child is polled on its pipe until end of
+        // file, then on its pidfd until it exits. A connection waits to
+        // read only while it owes no response, so responses leave in
+        // request order and one slow reader stalls only itself.
+        fds.assign(1, pollfd{accepting ? listenFd_ : -1, POLLIN, 0});
+        for (uint64_t id : running_) {
+            const WorkerChild &child = jobs_.at(id).child;
+            fds.push_back(pollfd{child.pipeFd >= 0 ? child.pipeFd
+                                                   : child.pidFd,
+                                 POLLIN, 0});
+        }
+        const size_t first_conn = fds.size();
         for (const Connection &conn : conns)
             fds.push_back(pollfd{conn.fd,
                                  static_cast<short>(conn.outbox.empty()
@@ -222,13 +227,35 @@ Daemon::ioLoop()
                           obs::LogField("error", std::strerror(errno)));
             break;
         }
-        // stop() shut the listener down: we are stopping.
-        if (fds[0].revents & (POLLHUP | POLLERR | POLLNVAL))
-            break;
 
         size_t kept = 0;
+        for (size_t i = 0; i < running_.size(); ++i) {
+            const uint64_t id = running_[i];
+            WorkerChild &child = jobs_.at(id).child;
+            const bool ready = fds[i + 1].revents != 0;
+            if (ready && child.pipeFd >= 0) {
+                readWorker(child); // at EOF the pidfd takes its slot
+            } else if (ready) {
+                finishJob(id, collectWorker(child));
+                continue;
+            }
+            running_[kept++] = id;
+        }
+        running_.resize(kept);
+
+        // stop() shut the listener down: close every connection and
+        // keep going only until the jobs are done.
+        if (accepting && fds[0].revents & (POLLHUP | POLLERR | POLLNVAL)) {
+            accepting = false;
+            for (const Connection &conn : conns)
+                ::close(conn.fd);
+            conns.clear();
+            continue;
+        }
+
+        kept = 0;
         for (size_t i = 0; i < conns.size(); ++i) {
-            const short revents = fds[i + 1].revents;
+            const short revents = fds[first_conn + i].revents;
             if (revents & POLLNVAL ||
                 !pump(conns[i], revents & (POLLIN | POLLHUP | POLLERR))) {
                 ::close(conns[i].fd);
@@ -322,97 +349,83 @@ Daemon::respond(const std::string &line, bool &close_after)
 }
 
 void
-Daemon::workerLoop()
+Daemon::spawnPending()
 {
-    while (std::optional<uint64_t> id = queue_.pop()) {
-        harness::RunJob run;
-        std::string key;
-        bool inject_crash = false;
-        uint64_t trace_id = 0;
-        uint64_t submit_us = 0;
-        uint64_t enqueue_us = 0;
-        {
-            std::lock_guard<std::mutex> lock(jobsMutex_);
-            auto it = jobs_.find(*id);
-            if (it == jobs_.end())
-                continue;
-            it->second.state = Job::State::Running;
-            run = it->second.run;
-            key = it->second.key;
-            inject_crash = it->second.injectCrash;
-            trace_id = it->second.traceId;
-            submit_us = it->second.submitUs;
-            enqueue_us = it->second.enqueueUs;
-        }
-
-        const uint64_t fork_start_us = obs::monotonicMicros();
-        WorkerOutcome outcome =
-            runForkedJob(run, inject_crash, spans_ != nullptr);
-        const uint64_t fork_end_us = obs::monotonicMicros();
-        double ms =
-            static_cast<double>(fork_end_us - fork_start_us) / 1000.0;
-        {
-            std::lock_guard<std::recursive_mutex> lock(histMutex_);
-            requestWallMs_.record(static_cast<size_t>(ms));
-        }
-
-        Artifact artifact;
-        if (outcome.ok) {
-            artifact = std::make_shared<const std::string>(
-                std::move(outcome.artifact));
-            if (!inject_crash)
-                cache_.put(key, artifact);
-        }
-
-        if (outcome.ok)
-            simulated_.fetch_add(1);
+    while (running_.size() < options_.workers && !pending_.empty()) {
+        const uint64_t id = pending_.front();
+        pending_.pop_front();
+        pendingDepth_.store(pending_.size());
+        Job &job = jobs_.at(id);
+        job.state = Job::State::Running;
+        job.forkUs = obs::monotonicMicros();
+        WorkerOutcome failure;
+        if (spawnWorker(job.run, job.injectCrash, spans_ != nullptr,
+                        job.child, failure.error))
+            running_.push_back(id);
         else
-            failed_.fetch_add(1);
-        if (outcome.crashed)
-            workerCrashes_.fetch_add(1);
+            finishJob(id, std::move(failure));
+    }
+}
 
-        metrics_.record(outcome.ok ? MetricsWindow::Outcome::Simulated
-                                   : MetricsWindow::Outcome::Failed,
-                        ms);
+void
+Daemon::finishJob(uint64_t id, WorkerOutcome outcome)
+{
+    Job &job = jobs_.at(id);
+    const uint64_t fork_end_us = obs::monotonicMicros();
+    double ms = static_cast<double>(fork_end_us - job.forkUs) / 1000.0;
+    {
+        std::lock_guard<std::recursive_mutex> lock(histMutex_);
+        requestWallMs_.record(static_cast<size_t>(ms));
+    }
 
-        if (spans_ != nullptr) {
-            // queued: admission push to worker pickup; forked: the
-            // whole child lifetime; the child's own phase spans ride
-            // the preamble; request: submit to terminal state.
-            spans_->record({trace_id, "queued", enqueue_us,
-                            fork_start_us - enqueue_us, ""});
-            spans_->record({trace_id, "forked", fork_start_us,
-                            fork_end_us - fork_start_us, ""});
-            spans_->recordChild(trace_id, outcome.childSpans);
-            const char *terminal = outcome.ok        ? "done"
-                                   : outcome.crashed ? "crashed"
-                                                     : "failed";
-            spans_->record({trace_id, "request", submit_us,
-                            fork_end_us - submit_us, terminal});
-        }
+    Artifact artifact;
+    if (outcome.ok) {
+        artifact =
+            std::make_shared<const std::string>(std::move(outcome.artifact));
+        if (!job.injectCrash)
+            cache_.put(job.key, artifact);
+    }
 
-        if (outcome.ok) {
-            EIP_LOG_INFO("eipd", "job_done", obs::LogField("job", *id),
-                         obs::LogField("wall_ms", ms),
-                         obs::LogField("trace", trace_id));
-        } else {
-            EIP_LOG_WARN("eipd", "job_failed", obs::LogField("job", *id),
-                         obs::LogField("crashed", outcome.crashed),
-                         obs::LogField("error", outcome.error),
-                         obs::LogField("trace", trace_id));
-        }
+    if (outcome.ok)
+        simulated_.fetch_add(1);
+    else
+        failed_.fetch_add(1);
+    if (outcome.crashed)
+        workerCrashes_.fetch_add(1);
 
-        std::lock_guard<std::mutex> lock(jobsMutex_);
-        auto it = jobs_.find(*id);
-        EIP_ASSERT(it != jobs_.end(), "a live job left the job table");
-        Job &job = it->second;
-        if (outcome.ok) {
-            job.state = Job::State::Done;
-            job.artifact = std::move(artifact);
-        } else {
-            job.state = Job::State::Failed;
-            job.error = std::move(outcome.error);
-        }
+    metrics_.record(outcome.ok ? MetricsWindow::Outcome::Simulated
+                               : MetricsWindow::Outcome::Failed,
+                    ms);
+
+    if (spans_ != nullptr) {
+        // queued: admission to fork; forked: the whole child lifetime;
+        // the child's own phase spans ride the preamble; request:
+        // submit to terminal state.
+        spans_->record({job.traceId, "queued", job.enqueueUs,
+                        job.forkUs - job.enqueueUs, ""});
+        spans_->record({job.traceId, "forked", job.forkUs,
+                        fork_end_us - job.forkUs, ""});
+        spans_->recordChild(job.traceId, outcome.childSpans);
+        const char *terminal = outcome.ok        ? "done"
+                               : outcome.crashed ? "crashed"
+                                                 : "failed";
+        spans_->record({job.traceId, "request", job.submitUs,
+                        fork_end_us - job.submitUs, terminal});
+    }
+
+    if (outcome.ok) {
+        EIP_LOG_INFO("eipd", "job_done", obs::LogField("job", id),
+                     obs::LogField("wall_ms", ms),
+                     obs::LogField("trace", job.traceId));
+        job.state = Job::State::Done;
+        job.artifact = std::move(artifact);
+    } else {
+        EIP_LOG_WARN("eipd", "job_failed", obs::LogField("job", id),
+                     obs::LogField("crashed", outcome.crashed),
+                     obs::LogField("error", outcome.error),
+                     obs::LogField("trace", job.traceId));
+        job.state = Job::State::Failed;
+        job.error = std::move(outcome.error);
     }
 }
 
@@ -547,22 +560,8 @@ Daemon::handleSubmit(const RunRequest &run)
         }
     }
 
-    Job job;
-    job.run.workload = workload;
-    job.run.spec = spec;
-    job.key = key;
-    job.injectCrash = run.injectCrash;
-    job.traceId = trace_id;
-    job.submitUs = submit_us;
-    // Stamped before tryPush: a worker may pop the id the moment the
-    // push lands, so the job record must already be complete.
-    job.enqueueUs = obs::monotonicMicros();
-    const uint64_t id = addJob(std::move(job));
-    if (!queue_.tryPush(id)) {
-        {
-            std::lock_guard<std::mutex> lock(jobsMutex_);
-            jobs_.erase(id);
-        }
+    if (pending_.size() >= options_.queueDepth) {
+        rejectedQueueFull_.fetch_add(1);
         metrics_.record(MetricsWindow::Outcome::Rejected, 0.0);
         if (spans_ != nullptr)
             spans_->record({trace_id, "request", submit_us,
@@ -583,6 +582,20 @@ Daemon::handleSubmit(const RunRequest &run)
         return json.str();
     }
 
+    Job job;
+    job.run.workload = workload;
+    job.run.spec = spec;
+    job.key = key;
+    job.injectCrash = run.injectCrash;
+    job.traceId = trace_id;
+    job.submitUs = submit_us;
+    job.enqueueUs = obs::monotonicMicros();
+    const uint64_t id = addJob(std::move(job));
+    pending_.push_back(id);
+    pendingDepth_.store(pending_.size());
+    if (pending_.size() > pendingHighWater_.load())
+        pendingHighWater_.store(pending_.size());
+
     EIP_LOG_DEBUG("eipd", "enqueued", obs::LogField("job", id),
                   obs::LogField("workload", run.workload),
                   obs::LogField("trace", trace_id));
@@ -598,7 +611,6 @@ Daemon::handleSubmit(const RunRequest &run)
 uint64_t
 Daemon::addJob(Job job)
 {
-    std::lock_guard<std::mutex> lock(jobsMutex_);
     const uint64_t id = nextJobId_++;
     jobs_.emplace(id, std::move(job));
     // Live jobs are bounded by the queue and the workers, so the scan
@@ -616,7 +628,6 @@ Daemon::addJob(Job job)
 std::string
 Daemon::handleJob(Request::Op op, uint64_t id)
 {
-    std::lock_guard<std::mutex> lock(jobsMutex_);
     auto it = jobs_.find(id);
     if (it == jobs_.end()) {
         invalid_.fetch_add(1);

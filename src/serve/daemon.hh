@@ -1,14 +1,16 @@
 /**
  * @file
  * The eipd job server: simulation as a service over a local Unix-domain
- * socket. One I/O thread polls the listening socket and every
- * connection (non-blocking sockets, one buffered response per
- * connection, so a client that stops reading stalls only itself);
- * parsed submit requests pass through a bounded admission queue (full
- * queue = explicit "rejected" response, the client's cue to back off)
- * to a small pool of dispatcher threads, each of which forks the actual
- * simulation into a throwaway child process (src/serve/worker.hh) so a
- * crashing run can never take the daemon down.
+ * socket. The daemon is one thread running one poll() loop over the
+ * listening socket, every connection (non-blocking sockets, one
+ * buffered response per connection, so a client that stops reading
+ * stalls only itself) and every running job. A submit that misses the
+ * cache joins a bounded queue of pending jobs (full queue = explicit
+ * "rejected" response, the client's cue to back off); while fewer than
+ * --workers children are alive the loop forks the next one into a
+ * throwaway child process (src/serve/worker.hh), so a crashing run can
+ * never take the daemon down, and reads its artifact pipe and pidfd
+ * like any other descriptor.
  *
  * Completed artifacts land in a content-addressed ResultCache keyed by
  * harness::resultCacheKey; a resubmitted request is answered from the
@@ -27,6 +29,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -39,8 +42,8 @@
 #include "obs/span.hh"
 #include "serve/metrics.hh"
 #include "serve/protocol.hh"
-#include "serve/queue.hh"
 #include "serve/result_cache.hh"
+#include "serve/worker.hh"
 #include "util/histogram.hh"
 
 namespace eip::serve {
@@ -48,9 +51,9 @@ namespace eip::serve {
 struct DaemonOptions
 {
     std::string socketPath;
-    /** Dispatcher threads = maximum concurrently forked simulations. */
+    /** Maximum forked simulations alive at once. */
     unsigned workers = 2;
-    /** Admission queue capacity; pushes beyond it are rejected. */
+    /** Pending-job capacity; submits beyond it are rejected. */
     size_t queueDepth = 64;
     /** Result-cache budget in artifact bytes. */
     uint64_t cacheBytes = 64ull << 20;
@@ -79,8 +82,8 @@ class Daemon
     Daemon(const Daemon &) = delete;
     Daemon &operator=(const Daemon &) = delete;
 
-    /** Bind the socket and start the I/O and worker threads. False with
-     *  a diagnostic on socket errors (path too long, bind refused). */
+    /** Bind the socket and start the daemon's one thread. False with a
+     *  diagnostic on socket errors (path too long, bind refused). */
     bool start(std::string *error);
 
     /** Note a stop request (shutdown op, signal): wakes the thread in
@@ -90,9 +93,9 @@ class Daemon
     /** Block until requestStop() — the owning thread's idle wait. */
     void waitStopRequested();
 
-    /** Full teardown: retire the I/O loop (which closes every
-     *  connection), drain queued jobs through the workers, join
-     *  everything, unlink the socket. Idempotent. */
+    /** Full teardown: stop accepting and close every connection, run
+     *  every queued job to completion, join the loop's thread, unlink
+     *  the socket. Idempotent. */
     void stop();
 
     const DaemonOptions &options() const { return options_; }
@@ -122,7 +125,9 @@ class Daemon
         bool injectCrash = false;
         uint64_t traceId = 0;   ///< span trace id (0 when spans off)
         uint64_t submitUs = 0;  ///< request-received monotonic time
-        uint64_t enqueueUs = 0; ///< admission-queue push time
+        uint64_t enqueueUs = 0; ///< pending-queue push time
+        uint64_t forkUs = 0;    ///< spawn time (Running onwards)
+        WorkerChild child;      ///< the forked child while Running
         enum class State
         {
             Queued,
@@ -155,7 +160,11 @@ class Daemon
 
     void ioLoop();
     bool pump(Connection &conn, bool readable);
-    void workerLoop();
+    /** Fork pending jobs while fewer than options_.workers run. */
+    void spawnPending();
+    /** Record @p outcome for running job @p id: cache, counters,
+     *  spans, and its terminal state. */
+    void finishJob(uint64_t id, WorkerOutcome outcome);
 
     /** Record @p job under the next id and drop the oldest finished
      *  jobs past kFinishedJobCap. Returns the id. */
@@ -177,20 +186,25 @@ class Daemon
     bool stopped_ = false;
 
     std::thread ioThread_;
-    std::vector<std::thread> workerThreads_;
 
     std::mutex stopMutex_;
     std::condition_variable stopCv_;
     bool stopRequested_ = false;
 
-    BoundedQueue<uint64_t> queue_;
     ResultCache cache_;
 
-    std::mutex jobsMutex_;
+    // The job table, the pending queue and the running list belong to
+    // the loop's thread; nothing else touches them.
     /** Keyed by the monotonic job id, so begin() is the oldest. */
     std::map<uint64_t, Job> jobs_;
     uint64_t nextJobId_ = 1;
+    std::deque<uint64_t> pending_;  ///< admitted, not yet forked
+    std::vector<uint64_t> running_; ///< forked, not yet reaped
 
+    // Read by statsDump() from any thread.
+    std::atomic<uint64_t> pendingDepth_{0}; ///< pending_.size()
+    std::atomic<uint64_t> pendingHighWater_{0};
+    std::atomic<uint64_t> rejectedQueueFull_{0};
     std::atomic<uint64_t> requests_{0};
     std::atomic<uint64_t> invalid_{0};
     std::atomic<uint64_t> submits_{0};

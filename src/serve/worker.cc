@@ -1,10 +1,11 @@
 #include "serve/worker.hh"
 
-#include <sys/types.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <csignal>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -41,6 +42,13 @@ writeAll(int fd, const std::string &text)
 childMain(int write_fd, const harness::RunJob &job, bool inject_crash,
           bool collect_spans)
 {
+    // Keep stdio and the pipe, moved to descriptor 3, and nothing else.
+    constexpr int kPipeFd = 3;
+    if (write_fd != kPipeFd)
+        ::dup2(write_fd, kPipeFd);
+    ::close_range(kPipeFd + 1, ~0u, 0);
+    write_fd = kPipeFd;
+
     if (inject_crash) {
         // Mid-run fault: a recognizable artifact prefix is already on
         // the wire when the process dies, so the parent also proves it
@@ -70,51 +78,76 @@ childMain(int write_fd, const harness::RunJob &job, bool inject_crash,
 
 } // namespace
 
-WorkerOutcome
-runForkedJob(const harness::RunJob &job, bool inject_crash,
-             bool collect_spans)
+bool
+spawnWorker(const harness::RunJob &job, bool inject_crash,
+            bool collect_spans, WorkerChild &child, std::string &error)
 {
-    WorkerOutcome outcome;
-
     int pipe_fds[2];
     if (::pipe(pipe_fds) != 0) {
-        outcome.error = std::string("pipe: ") + std::strerror(errno);
-        return outcome;
+        error = std::string("pipe: ") + std::strerror(errno);
+        return false;
     }
 
     pid_t pid = ::fork();
     if (pid < 0) {
-        outcome.error = std::string("fork: ") + std::strerror(errno);
+        error = std::string("fork: ") + std::strerror(errno);
         ::close(pipe_fds[0]);
         ::close(pipe_fds[1]);
-        return outcome;
+        return false;
     }
-
-    if (pid == 0) {
-        ::close(pipe_fds[0]);
+    if (pid == 0)
         childMain(pipe_fds[1], job, inject_crash, collect_spans);
-    }
 
     ::close(pipe_fds[1]);
-    std::string payload;
-    char chunk[65536];
-    for (;;) {
-        ssize_t n = ::read(pipe_fds[0], chunk, sizeof(chunk));
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            break;
-        }
-        if (n == 0)
-            break;
-        payload.append(chunk, static_cast<size_t>(n));
+    // Through syscall(): glibc 2.36's <sys/pidfd.h> declares
+    // pidfd_open without C linkage.
+    int pid_fd = static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
+    if (pid_fd < 0) {
+        error = std::string("pidfd_open: ") + std::strerror(errno);
+        ::close(pipe_fds[0]);
+        ::kill(pid, SIGKILL);
+        ::waitpid(pid, nullptr, 0);
+        return false;
     }
-    ::close(pipe_fds[0]);
+    child = WorkerChild{pid, pipe_fds[0], pid_fd, {}};
+    return true;
+}
+
+bool
+readWorker(WorkerChild &child)
+{
+    char chunk[65536];
+    ssize_t n = ::read(child.pipeFd, chunk, sizeof(chunk));
+    if (n > 0) {
+        child.payload.append(chunk, static_cast<size_t>(n));
+        return false;
+    }
+    if (n < 0 && errno == EINTR)
+        return false;
+    ::close(child.pipeFd);
+    child.pipeFd = -1;
+    return true;
+}
+
+WorkerOutcome
+collectWorker(WorkerChild &child)
+{
+    WorkerOutcome outcome;
+    int status = 0;
+    pid_t reaped;
+    do {
+        reaped = ::waitpid(child.pid, &status, 0);
+    } while (reaped < 0 && errno == EINTR);
+    if (reaped != child.pid)
+        outcome.error = std::string("waitpid: ") + std::strerror(errno);
+    ::close(child.pidFd);
+    child.pidFd = -1;
 
     // The artifact is always exactly one line; anything after its
     // newline is the optional span preamble. A payload with no newline
     // at all is a truncated artifact and falls through to the length
     // check below unchanged.
+    std::string payload = std::move(child.payload);
     std::string artifact;
     std::string preamble;
     if (!obs::splitWorkerPayload(payload, artifact, preamble))
@@ -124,16 +157,8 @@ runForkedJob(const harness::RunJob &job, bool inject_crash,
         outcome.childSpans.clear(); // partial preamble: spans are lost,
                                     // the artifact still counts
 
-    int status = 0;
-    pid_t reaped;
-    do {
-        reaped = ::waitpid(pid, &status, 0);
-    } while (reaped < 0 && errno == EINTR);
-
-    if (reaped != pid) {
-        outcome.error = std::string("waitpid: ") + std::strerror(errno);
+    if (reaped != child.pid)
         return outcome;
-    }
     if (WIFSIGNALED(status)) {
         outcome.crashed = true;
         outcome.error = "worker killed by signal " +

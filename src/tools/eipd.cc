@@ -27,8 +27,8 @@ usage(const char *argv0)
     std::printf("usage: %s --socket PATH [options]\n", argv0);
     std::printf("  --socket PATH      Unix-domain socket to listen on "
                 "(required)\n");
-    std::printf("  --workers N        dispatcher threads / concurrent "
-                "forked simulations (default 2)\n");
+    std::printf("  --workers N        forked simulations alive at once "
+                "(default 2)\n");
     std::printf("  --queue-depth N    admission queue capacity; further "
                 "submits are rejected (default 64)\n");
     std::printf("  --cache-mb N       result cache budget in MB "

@@ -14,7 +14,6 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -29,7 +28,6 @@
 #include "serve/daemon.hh"
 #include "serve/metrics.hh"
 #include "serve/protocol.hh"
-#include "serve/worker.hh"
 #include "trace/workloads.hh"
 #include "util/histogram.hh"
 #include "util/stats_math.hh"
@@ -429,49 +427,6 @@ TEST(ServeProtocol, MetricsAndSpansOpsRoundTrip)
             << serve::opName(op) << ": " << error;
         EXPECT_EQ(parsed.op, op);
     }
-}
-
-TEST(ForkedWorker, PropagatesChildSpansWithoutChangingArtifactBytes)
-{
-    harness::RunJob job;
-    job.workload = trace::tinyWorkload();
-    job.spec = serve::toRunSpec(tinyRequest());
-
-    serve::WorkerOutcome with_spans =
-        serve::runForkedJob(job, false, true);
-    ASSERT_TRUE(with_spans.ok) << with_spans.error;
-    ASSERT_FALSE(with_spans.childSpans.empty());
-
-    // The child profiled its run phases and relayed them intact.
-    std::vector<std::string> names;
-    for (const obs::SpanRecord &span : with_spans.childSpans) {
-        names.push_back(span.name);
-        EXPECT_GT(span.startUs, 0u);
-    }
-    for (const char *expected :
-         {"program_build", "warmup", "measure", "fill_drain", "serialize"})
-        EXPECT_NE(std::find(names.begin(), names.end(), expected),
-                  names.end())
-            << "missing child phase span '" << expected << "'";
-
-    // Span collection must not perturb the artifact: byte-identical to
-    // the in-process run (which is itself the golden-gated rendering).
-    harness::ArtifactRun inProcess = harness::runJobArtifact(job);
-    EXPECT_EQ(with_spans.artifact, inProcess.json);
-}
-
-TEST(ForkedWorker, CrashWithSpanCollectionStillFailsStructured)
-{
-    harness::RunJob job;
-    job.workload = trace::tinyWorkload();
-    job.spec = serve::toRunSpec(tinyRequest());
-
-    serve::WorkerOutcome outcome = serve::runForkedJob(job, true, true);
-    EXPECT_FALSE(outcome.ok);
-    EXPECT_TRUE(outcome.crashed);
-    EXPECT_NE(outcome.error.find("signal"), std::string::npos);
-    // The child died before writing the preamble: no phantom spans.
-    EXPECT_TRUE(outcome.childSpans.empty());
 }
 
 TEST(ServeDaemon, SpanTerminalsReconcileExactlyAgainstLiveCounters)

@@ -1,12 +1,14 @@
 /**
  * @file
- * Tests for the eipd job server (src/serve): the bounded admission
- * queue, the content-addressed result cache, the eip-serve/v1 protocol
- * round-trip, and the daemon end to end over a real Unix-domain socket
- * — cold simulate, warm cache-serve with byte-identical artifacts,
- * worker-crash isolation, explicit backpressure, and the one-thread
- * I/O loop's bounds (thread count, job table, request line, a client
- * that stops reading, a response larger than the send buffer).
+ * Tests for the eipd job server (src/serve): the content-addressed
+ * result cache, the eip-serve/v1 protocol round-trip, the forked
+ * worker's spawn/read/collect steps, and the daemon end to end over a
+ * real Unix-domain socket — cold simulate, warm cache-serve with
+ * byte-identical artifacts, worker-crash isolation, explicit
+ * backpressure, a stop that drains the queue, children that hold no
+ * descriptor but their own pipe, and the one-thread loop's bounds
+ * (thread count, job table, request line, a client that stops reading,
+ * a response larger than the send buffer).
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <filesystem>
@@ -31,7 +34,6 @@
 #include "serve/client.hh"
 #include "serve/daemon.hh"
 #include "serve/protocol.hh"
-#include "serve/queue.hh"
 #include "serve/result_cache.hh"
 #include "serve/socket_io.hh"
 #include "serve/worker.hh"
@@ -61,6 +63,34 @@ tinyRequest()
     return run;
 }
 
+/** A srv-1 request that simulates for well over a tiny job's lifetime
+ *  (about 150 ms in a Release build); @p salt varies its cache key. */
+serve::RunRequest
+longRequest(uint64_t salt)
+{
+    serve::RunRequest run;
+    run.workload = "srv-1";
+    run.instructions = 500000 + salt;
+    run.warmup = 10000;
+    return run;
+}
+
+/** Fork @p job and wait for its outcome: the daemon loop's three
+ *  steps, blocking instead of polled. */
+serve::WorkerOutcome
+runWorker(const harness::RunJob &job, bool inject_crash,
+          bool collect_spans = false)
+{
+    serve::WorkerChild child;
+    serve::WorkerOutcome outcome;
+    if (!serve::spawnWorker(job, inject_crash, collect_spans, child,
+                            outcome.error))
+        return outcome;
+    while (!serve::readWorker(child)) {
+    }
+    return serve::collectWorker(child);
+}
+
 /** Threads of this process right now. */
 size_t
 threadCount()
@@ -88,42 +118,6 @@ runToArtifact(serve::Client &client, const serve::RunRequest &run,
     EXPECT_EQ(view.state, "done") << view.error;
     EXPECT_TRUE(client.fetch(outcome.job, view, &error)) << error;
     return view.artifact;
-}
-
-TEST(BoundedQueue, FifoWithRejectionWhenFull)
-{
-    serve::BoundedQueue<int> queue(2);
-    EXPECT_TRUE(queue.tryPush(1));
-    EXPECT_TRUE(queue.tryPush(2));
-    EXPECT_FALSE(queue.tryPush(3)); // full: explicit backpressure
-    EXPECT_EQ(queue.depth(), 2u);
-    EXPECT_EQ(queue.highWater(), 2u);
-    EXPECT_EQ(queue.rejected(), 1u);
-
-    EXPECT_EQ(queue.pop().value(), 1);
-    EXPECT_EQ(queue.pop().value(), 2);
-    EXPECT_TRUE(queue.tryPush(4));
-    EXPECT_EQ(queue.pop().value(), 4);
-}
-
-TEST(BoundedQueue, CloseDrainsBacklogThenReturnsEmpty)
-{
-    serve::BoundedQueue<int> queue(4);
-    EXPECT_TRUE(queue.tryPush(7));
-    queue.close();
-    EXPECT_FALSE(queue.tryPush(8)); // closed counts as rejected too
-    EXPECT_EQ(queue.pop().value(), 7);
-    EXPECT_FALSE(queue.pop().has_value());
-}
-
-TEST(BoundedQueue, CloseWakesBlockedConsumer)
-{
-    serve::BoundedQueue<int> queue(1);
-    std::thread consumer([&queue] {
-        EXPECT_FALSE(queue.pop().has_value());
-    });
-    queue.close();
-    consumer.join();
 }
 
 TEST(ResultCache, HitMissAndByteWeightedEviction)
@@ -276,7 +270,7 @@ TEST(ForkedWorker, DeliversByteIdenticalArtifact)
     job.workload = trace::tinyWorkload();
     job.spec = serve::toRunSpec(tinyRequest());
 
-    serve::WorkerOutcome outcome = serve::runForkedJob(job, false);
+    serve::WorkerOutcome outcome = runWorker(job, false);
     ASSERT_TRUE(outcome.ok) << outcome.error;
     EXPECT_FALSE(outcome.crashed);
 
@@ -290,11 +284,53 @@ TEST(ForkedWorker, InjectedCrashYieldsStructuredSignalError)
     job.workload = trace::tinyWorkload();
     job.spec = serve::toRunSpec(tinyRequest());
 
-    serve::WorkerOutcome outcome = serve::runForkedJob(job, true);
+    serve::WorkerOutcome outcome = runWorker(job, true);
     EXPECT_FALSE(outcome.ok);
     EXPECT_TRUE(outcome.crashed);
     EXPECT_NE(outcome.error.find("signal"), std::string::npos);
     EXPECT_TRUE(outcome.artifact.empty());
+}
+
+TEST(ForkedWorker, PropagatesChildSpansWithoutChangingArtifactBytes)
+{
+    harness::RunJob job;
+    job.workload = trace::tinyWorkload();
+    job.spec = serve::toRunSpec(tinyRequest());
+
+    serve::WorkerOutcome with_spans = runWorker(job, false, true);
+    ASSERT_TRUE(with_spans.ok) << with_spans.error;
+    ASSERT_FALSE(with_spans.childSpans.empty());
+
+    // The child profiled its run phases and relayed them intact.
+    std::vector<std::string> names;
+    for (const obs::SpanRecord &span : with_spans.childSpans) {
+        names.push_back(span.name);
+        EXPECT_GT(span.startUs, 0u);
+    }
+    for (const char *expected :
+         {"program_build", "warmup", "measure", "fill_drain", "serialize"})
+        EXPECT_NE(std::find(names.begin(), names.end(), expected),
+                  names.end())
+            << "missing child phase span '" << expected << "'";
+
+    // Span collection must not perturb the artifact: byte-identical to
+    // the in-process run (which is itself the golden-gated rendering).
+    harness::ArtifactRun inProcess = harness::runJobArtifact(job);
+    EXPECT_EQ(with_spans.artifact, inProcess.json);
+}
+
+TEST(ForkedWorker, CrashWithSpanCollectionStillFailsStructured)
+{
+    harness::RunJob job;
+    job.workload = trace::tinyWorkload();
+    job.spec = serve::toRunSpec(tinyRequest());
+
+    serve::WorkerOutcome outcome = runWorker(job, true, true);
+    EXPECT_FALSE(outcome.ok);
+    EXPECT_TRUE(outcome.crashed);
+    EXPECT_NE(outcome.error.find("signal"), std::string::npos);
+    // The child died before writing the preamble: no phantom spans.
+    EXPECT_TRUE(outcome.childSpans.empty());
 }
 
 TEST(ServeDaemon, ColdRunThenCacheServedByteIdentical)
@@ -586,41 +622,81 @@ TEST(ServeDaemon, FullQueueRejectsWithBackpressure)
 
 TEST(ServeDaemon, OneThreadServesManyConnections)
 {
+    for (unsigned workers : {1u, 2u, 3u}) {
+        serve::DaemonOptions options;
+        options.socketPath = testSocket("threads");
+        options.workers = workers;
+        serve::Daemon daemon(options);
+        const size_t baseline = threadCount();
+        std::string error;
+        ASSERT_TRUE(daemon.start(&error)) << error;
+        EXPECT_EQ(threadCount(), baseline + 1) << workers << " workers";
+
+        std::vector<int> idle;
+        for (int i = 0; i < 64; ++i) {
+            int fd = serve::connectUnix(options.socketPath, &error);
+            ASSERT_GE(fd, 0) << error;
+            idle.push_back(fd);
+        }
+
+        serve::Client client;
+        ASSERT_TRUE(client.connect(options.socketPath, &error)) << error;
+        serve::SubmitOutcome outcome;
+        serve::RunRequest run = tinyRequest();
+        run.instructions += workers; // cold in every round
+        EXPECT_FALSE(runToArtifact(client, run, outcome).empty());
+        EXPECT_EQ(threadCount(), baseline + 1) << workers << " workers";
+
+        // Every idle connection is live and answered by the same thread.
+        serve::Request stats;
+        stats.op = serve::Request::Op::Stats;
+        for (int fd : idle) {
+            ASSERT_TRUE(serve::sendLine(fd, serve::requestJson(stats)));
+            serve::LineReader reader(fd);
+            std::string line;
+            ASSERT_TRUE(reader.readLine(line));
+            EXPECT_NE(line.find("\"kind\":\"stats\""), std::string::npos);
+        }
+        EXPECT_EQ(threadCount(), baseline + 1) << workers << " workers";
+
+        for (int fd : idle)
+            ::close(fd);
+        daemon.stop();
+        EXPECT_EQ(threadCount(), baseline);
+    }
+}
+
+TEST(ServeDaemon, StopRunsEveryQueuedJob)
+{
     serve::DaemonOptions options;
-    options.socketPath = testSocket("threads");
+    options.socketPath = testSocket("drain");
+    options.workers = 1;
+    options.queueDepth = 8;
     serve::Daemon daemon(options);
     std::string error;
     ASSERT_TRUE(daemon.start(&error)) << error;
-    const size_t baseline = threadCount();
-
-    std::vector<int> idle;
-    for (int i = 0; i < 64; ++i) {
-        int fd = serve::connectUnix(options.socketPath, &error);
-        ASSERT_GE(fd, 0) << error;
-        idle.push_back(fd);
-    }
 
     serve::Client client;
     ASSERT_TRUE(client.connect(options.socketPath, &error)) << error;
-    serve::SubmitOutcome outcome;
-    EXPECT_FALSE(runToArtifact(client, tinyRequest(), outcome).empty());
-    EXPECT_EQ(threadCount(), baseline);
-
-    // Every idle connection is live and answered by the same thread.
-    serve::Request stats;
-    stats.op = serve::Request::Op::Stats;
-    for (int fd : idle) {
-        ASSERT_TRUE(serve::sendLine(fd, serve::requestJson(stats)));
-        serve::LineReader reader(fd);
-        std::string line;
-        ASSERT_TRUE(reader.readLine(line));
-        EXPECT_NE(line.find("\"kind\":\"stats\""), std::string::npos);
+    uint64_t accepted = 0;
+    for (uint64_t i = 0; i < 6; ++i) {
+        serve::RunRequest run = tinyRequest();
+        run.instructions = 100000 + i;
+        serve::SubmitOutcome outcome;
+        ASSERT_TRUE(client.submit(run, outcome, &error)) << error;
+        ASSERT_TRUE(outcome.accepted) << outcome.error;
+        ++accepted;
     }
-    EXPECT_EQ(threadCount(), baseline);
+    // One child at a time: most of the jobs are still queued.
+    EXPECT_LT(daemon.statsDump().counter("serve.simulated").value(),
+              accepted);
+    client.close();
 
-    for (int fd : idle)
-        ::close(fd);
     daemon.stop();
+    obs::CounterDump stats = daemon.statsDump();
+    EXPECT_EQ(stats.counter("serve.simulated").value(), accepted);
+    EXPECT_EQ(stats.counter("serve.failed").value(), 0u);
+    EXPECT_EQ(stats.gauge("serve.queue.depth").value(), 0.0);
 }
 
 TEST(ServeDaemon, FetchRedeemsAFinishedJobOnce)
@@ -801,6 +877,124 @@ TEST(ServeDaemon, ShutdownOpStopsTheDaemon)
     // The socket is gone: a fresh connect must fail.
     serve::Client after;
     EXPECT_FALSE(after.connect(options.socketPath, &error));
+}
+
+TEST(ServeDaemon, ShortJobFinishesWhileALongerSiblingRuns)
+{
+    // Two children alive at once must not hold each other's pipes: a
+    // child that inherited the short job's write end would keep that
+    // job's end-of-file, and so its result, waiting until the long
+    // simulation exits.
+    serve::DaemonOptions options;
+    options.socketPath = testSocket("siblings");
+    options.workers = 2;
+    serve::Daemon daemon(options);
+    std::string error;
+    ASSERT_TRUE(daemon.start(&error)) << error;
+    serve::Client client;
+    ASSERT_TRUE(client.connect(options.socketPath, &error)) << error;
+    // Both submits leave in one send, so the daemon admits them in one
+    // wake-up and forks the two children back to back.
+    int fd = serve::connectUnix(options.socketPath, &error);
+    ASSERT_GE(fd, 0) << error;
+    serve::LineReader reader(fd);
+
+    for (uint64_t round = 0; round < 16; ++round) {
+        serve::Request slow, quick;
+        slow.op = quick.op = serve::Request::Op::Submit;
+        slow.run = longRequest(round);
+        quick.run = tinyRequest();
+        quick.run.instructions += round;
+        ASSERT_TRUE(serve::sendLine(fd, serve::requestJson(slow) + "\n" +
+                                            serve::requestJson(quick)));
+        uint64_t ids[2] = {0, 0};
+        for (uint64_t &id : ids) {
+            std::string line;
+            ASSERT_TRUE(reader.readLine(line));
+            std::optional<obs::JsonValue> doc = obs::parseJson(line);
+            ASSERT_TRUE(doc.has_value() && doc->find("job") != nullptr)
+                << line;
+            id = doc->find("job")->asU64();
+        }
+
+        serve::JobView view;
+        ASSERT_TRUE(client.waitTerminal(ids[1], view, 60.0, &error))
+            << error;
+        EXPECT_EQ(view.state, "done") << view.error;
+        ASSERT_TRUE(client.status(ids[0], view, &error)) << error;
+        EXPECT_EQ(view.state, "running")
+            << "round " << round << ": the short job finished only "
+            << "after the long one";
+        ASSERT_TRUE(client.waitTerminal(ids[0], view, 60.0, &error))
+            << error;
+        EXPECT_EQ(view.state, "done") << view.error;
+    }
+    ::close(fd);
+    daemon.stop();
+}
+
+TEST(ServeDaemon, ChildHoldsNoClientConnection)
+{
+    // A child that kept the daemon's descriptors would keep every client
+    // connection open until its simulation ended, even one the daemon
+    // has closed.
+    serve::DaemonOptions options;
+    options.socketPath = testSocket("child_fds");
+    options.workers = 1;
+    serve::Daemon daemon(options);
+    std::string error;
+    ASSERT_TRUE(daemon.start(&error)) << error;
+
+    // B is accepted (a round trip proves it) before the job forks.
+    int b = serve::connectUnix(options.socketPath, &error);
+    ASSERT_GE(b, 0) << error;
+    const timeval limit{10, 0};
+    ASSERT_EQ(::setsockopt(b, SOL_SOCKET, SO_RCVTIMEO, &limit,
+                           sizeof(limit)),
+              0);
+    ASSERT_EQ(::setsockopt(b, SOL_SOCKET, SO_SNDTIMEO, &limit,
+                           sizeof(limit)),
+              0);
+    serve::Request stats;
+    stats.op = serve::Request::Op::Stats;
+    ASSERT_TRUE(serve::sendLine(b, serve::requestJson(stats)));
+    serve::LineReader reader(b);
+    std::string line;
+    ASSERT_TRUE(reader.readLine(line));
+
+    serve::Client a;
+    ASSERT_TRUE(a.connect(options.socketPath, &error)) << error;
+    serve::SubmitOutcome job;
+    serve::RunRequest run = longRequest(0);
+    run.instructions = 4000000; // about a second in a Release build
+    ASSERT_TRUE(a.submit(run, job, &error)) << error;
+    ASSERT_TRUE(job.accepted) << job.error;
+    serve::JobView view;
+    do {
+        ASSERT_TRUE(a.status(job.job, view, &error)) << error;
+    } while (view.state == "queued");
+    ASSERT_EQ(view.state, "running");
+
+    // An oversized line makes the daemon answer B and close it.
+    const std::string junk(2 * serve::Daemon::kMaxRequestBytes, 'x');
+    size_t sent = 0;
+    while (sent < junk.size()) {
+        ssize_t n = ::send(b, junk.data() + sent, junk.size() - sent,
+                           MSG_NOSIGNAL);
+        if (n <= 0)
+            break;
+        sent += static_cast<size_t>(n);
+    }
+    ASSERT_TRUE(reader.readLine(line));
+    EXPECT_NE(line.find("\"status\":\"invalid\""), std::string::npos);
+    EXPECT_FALSE(reader.readLine(line)); // end of file...
+    ::close(b);
+    ASSERT_TRUE(a.status(job.job, view, &error)) << error;
+    EXPECT_EQ(view.state, "running"); // ...while the child still runs
+
+    ASSERT_TRUE(a.waitTerminal(job.job, view, 120.0, &error)) << error;
+    EXPECT_EQ(view.state, "done") << view.error;
+    daemon.stop();
 }
 
 } // namespace
